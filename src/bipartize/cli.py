@@ -168,7 +168,7 @@ def _cmd_solve(args) -> int:
     g = _load_instance(args.instance)
     limits = SolverLimits(
         node_budget=args.budget_nodes,
-        time_budget_s=args.budget_ms / 1000.0 if args.budget_ms else None,
+        time_budget_s=None if args.budget_ms is None else args.budget_ms / 1000.0,
     )
     if args.engine == "exact":
         sol, result = solve_exact(g, limits)

@@ -9,16 +9,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 MAX_WEIGHT = 2**32 - 1
 
 # Node subsets are passed around as plain sets/frozensets of indices.
 NodeSet = frozenset[int]
-
-# Per-node bitmask adjacency is kept alongside the sorted lists for graphs up
-# to this size; larger graphs build masks on demand.
-_MASK_MIRROR_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -28,12 +25,6 @@ class WeightedGraph:
     node_count: int
     adjacency: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        masks = None
-        if self.node_count <= _MASK_MIRROR_LIMIT:
-            masks = tuple(_build_masks(self.node_count, self.adjacency))
-        object.__setattr__(self, "_masks", masks)
 
     @property
     def edge_count(self) -> int:
@@ -54,9 +45,13 @@ class WeightedGraph:
 
     def neighbor_masks(self) -> list[int]:
         """Per-node neighborhoods as int bitmasks (bit v set iff v adjacent)."""
-        if self._masks is not None:  # type: ignore[attr-defined]
-            return list(self._masks)  # type: ignore[attr-defined]
-        return _build_masks(self.node_count, self.adjacency)
+        return list(self._masks)
+
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        # built on first use; the value depends only on the adjacency, so it
+        # is the same whichever thread computes it
+        return tuple(_build_masks(self.node_count, self.adjacency))
 
 
 def _build_masks(n: int, adjacency: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -79,9 +74,6 @@ class Bipartition:
 
     side_a: frozenset[int]
     side_b: frozenset[int]
-
-    def nodes(self) -> frozenset[int]:
-        return self.side_a | self.side_b
 
 
 def from_edge_list(

@@ -6,6 +6,8 @@ solution always carries a checked bipartition witness.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .graph import WeightedGraph
 from .reduction import (
     BipartiteSolution,
@@ -32,11 +34,7 @@ def solve_exact(
     statistics and optimality flag; with a budget the flag may be False and
     the solution is the best one found.
     """
-    dg = build_doubled_graph(g)
-    result = mwis_exact(dg.graph, limits)
-    sol = lift_independent_set(dg, g, result.solution)
-    _require_valid(g, sol)
-    return sol, result
+    return _solve(g, lambda h: mwis_exact(h, limits))
 
 
 def solve_approx(g: WeightedGraph) -> BipartiteSolution:
@@ -45,12 +43,20 @@ def solve_approx(g: WeightedGraph) -> BipartiteSolution:
     No optimality proof is attached; on test corpora the result stays
     within a 3/(max_degree+3) factor of the optimum.
     """
-    dg = build_doubled_graph(g)
-    seed = mwis_greedy(dg.graph)
-    improved = mwis_local_search(dg.graph, seed.solution)
-    sol = lift_independent_set(dg, g, improved.solution)
-    _require_valid(g, sol)
+    sol, _ = _solve(g, lambda h: mwis_local_search(h, mwis_greedy(h).solution))
     return sol
+
+
+def _solve(
+    g: WeightedGraph, engine: Callable[[WeightedGraph], SolveResult]
+) -> tuple[BipartiteSolution, SolveResult]:
+    # double -> engine -> lift -> verify; the engines and checks are called
+    # through this module's names, so wrapping one here covers both solvers
+    dg = build_doubled_graph(g)
+    result = engine(dg.graph)
+    sol = lift_independent_set(dg, g, result.solution)
+    _require_valid(g, sol)
+    return sol, result
 
 
 def verify(g: WeightedGraph, sol: BipartiteSolution) -> tuple[bool, str]:

@@ -17,7 +17,6 @@ from typing import Iterable
 from .graph import (
     Bipartition,
     WeightedGraph,
-    from_edge_list,
     is_independent_set,
     set_weight,
 )
@@ -29,19 +28,6 @@ class DoubledGraph:
 
     graph: WeightedGraph
     source_node_count: int
-
-    def layer1_index(self, v: int) -> int:
-        return v
-
-    def layer2_index(self, v: int) -> int:
-        return self.source_node_count + v
-
-    def layer_of(self, h_index: int) -> int:
-        return 1 if h_index < self.source_node_count else 2
-
-    def base_of(self, h_index: int) -> int:
-        n = self.source_node_count
-        return h_index if h_index < n else h_index - n
 
 
 @dataclass(frozen=True)
@@ -58,15 +44,17 @@ def build_doubled_graph(g: WeightedGraph) -> DoubledGraph:
 
     The result has 2n nodes, 2|E|+n edges, maximum degree one above the
     source graph's (for nonempty sources), and duplicated weights.
+
+    The adjacency is written straight from ``g``'s, which is already
+    normalized: layer-1 node v lists its neighbors then n+v, layer-2 node
+    n+v lists v then n+u for each neighbor u, so every tuple stays sorted.
     """
     n = g.node_count
-    edges: list[tuple[int, int]] = []
-    for u, v in g.edges():
-        edges.append((u, v))
-        edges.append((n + u, n + v))
-    for v in range(n):
-        edges.append((v, n + v))
-    doubled = from_edge_list(2 * n, edges, g.weights + g.weights)
+    adjacency = [(*nbrs, n + v) for v, nbrs in enumerate(g.adjacency)]
+    adjacency.extend(
+        (v, *[n + u for u in nbrs]) for v, nbrs in enumerate(g.adjacency)
+    )
+    doubled = WeightedGraph(2 * n, tuple(adjacency), g.weights + g.weights)
     return DoubledGraph(doubled, n)
 
 
@@ -86,9 +74,6 @@ def lift_independent_set(
     _check_pair(dg, g)
     n = g.node_count
     chosen = frozenset(int(v) for v in ind_set)
-    for v in chosen:
-        if not (0 <= v < 2 * n):
-            raise ValueError(f"node {v} out of range for the doubled graph")
     if not is_independent_set(dg.graph, chosen):
         raise ValueError("input set is not independent in the doubled graph")
     side_a = frozenset(v for v in chosen if v < n)

@@ -79,10 +79,10 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _positive_mask(g: WeightedGraph) -> int:
+def _positive_mask(weights) -> int:
     mask = 0
-    for v in range(g.node_count):
-        if g.weights[v] > 0:
+    for v, w in enumerate(weights):
+        if w > 0:
             mask |= 1 << v
     return mask
 
@@ -297,7 +297,7 @@ class _BranchAndReduce:
         start = time.perf_counter()
         if self.limits.time_budget_s is not None:
             self.deadline = start + self.limits.time_budget_s
-        alive = _positive_mask_from(self.weights, self.n)
+        alive = _positive_mask(self.weights)
         self.stats.reductions["zero_weight"] = self.n - alive.bit_count()
         # greedy incumbent: cheap, deterministic, prunes most of the tree
         for v in _greedy_order(self.masks, self.weights, alive):
@@ -383,14 +383,6 @@ class _BranchAndReduce:
         return best_v
 
 
-def _positive_mask_from(weights, n: int) -> int:
-    mask = 0
-    for v in range(n):
-        if weights[v] > 0:
-            mask |= 1 << v
-    return mask
-
-
 def _clique_cover_bound(mask: int, masks: list[int], weights) -> int:
     """Greedy clique cover by ascending index; sums each clique's max weight.
 
@@ -450,7 +442,7 @@ def mwis_greedy(g: WeightedGraph) -> SolveResult:
     ``w(v)/(degree(v)+1)`` in the input graph.  Never claims optimality.
     """
     start = time.perf_counter()
-    order = _greedy_order(g.neighbor_masks(), g.weights, _positive_mask(g))
+    order = _greedy_order(g.neighbor_masks(), g.weights, _positive_mask(g.weights))
     weight = sum(g.weights[v] for v in order)
     stats = SearchStats(search_nodes=len(order))
     stats.elapsed_s = time.perf_counter() - start
@@ -472,9 +464,6 @@ def mwis_local_search(g: WeightedGraph, start: frozenset[int] | set[int]) -> Sol
     """
     began = time.perf_counter()
     members = frozenset(int(v) for v in start)
-    for v in members:
-        if not (0 <= v < g.node_count):
-            raise ValueError(f"node {v} out of range for {g.node_count} nodes")
     if not is_independent_set(g, members):
         raise ValueError("start is not an independent set")
     weights = g.weights

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bipartize
 from bipartize import build_doubled_graph, from_edge_list
 from bipartize.cli import main
 from bipartize.dimacs import parse_instance, write_instance
@@ -116,6 +119,11 @@ class TestSolve:
         assert code == 0
         assert payload["weight"] == 4
 
+    @pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-ms"])
+    def test_zero_budget_is_usage_error(self, capsys, c5_file, flag):
+        assert main(["solve", str(c5_file), flag, "0"]) == 2
+        assert "must be positive" in capsys.readouterr().err
+
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["solve", "/nonexistent/g.col"]) == 2
 
@@ -186,10 +194,17 @@ class TestUsage:
         assert main(["solve", "--frobnicate"]) == 2
 
     def test_console_entry_point(self, tmp_path):
-        # one end-to-end check through the installed script
+        # one end-to-end check through the installed script, run against the
+        # same package this process imported (installed or from a checkout)
+        package_root = str(Path(bipartize.__file__).parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
         out = subprocess.run(
-            [sys.executable, "-m", "bipartize.cli" ],
+            [sys.executable, "-m", "bipartize.cli"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert out.returncode == 2

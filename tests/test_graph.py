@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bipartize.graph as graph_module
 from bipartize import (
     Bipartition,
     from_edge_list,
@@ -82,6 +83,43 @@ class TestFromEdgeList:
                 assert v in g.adjacency[u]
         assert len(g.weights) == g.node_count
         assert all(w >= 0 for w in g.weights)
+
+
+class TestNeighborMasks:
+    # 6 and 600 nodes: small and large graphs must take the same cached path
+    @pytest.mark.parametrize("g", [cycle_graph(6), cycle_graph(600), edgeless_graph(3)])
+    def test_bits_match_adjacency(self, g):
+        masks = g.neighbor_masks()
+        assert len(masks) == g.node_count
+        for v, nbrs in enumerate(g.adjacency):
+            assert masks[v] == sum(1 << u for u in nbrs)
+
+    @pytest.mark.parametrize("n", [6, 600])
+    def test_returns_fresh_list(self, n):
+        g = cycle_graph(n)
+        first = g.neighbor_masks()
+        expected = list(first)
+        first[0] = 0
+        first.append(1)
+        assert g.neighbor_masks() == expected
+
+    @pytest.mark.parametrize("n", [6, 600])
+    def test_built_once_per_graph(self, monkeypatch, n):
+        calls = []
+        original = graph_module._build_masks
+
+        def counting(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(graph_module, "_build_masks", counting)
+        g = cycle_graph(n)
+        assert calls == []
+        for _ in range(3):
+            g.neighbor_masks()
+        assert calls == [n]
+        cycle_graph(n).neighbor_masks()
+        assert calls == [n, n]
 
 
 class TestMaxDegree:

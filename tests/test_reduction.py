@@ -47,15 +47,6 @@ class TestBuildDoubledGraph:
         assert dg.graph.node_count == 0
         assert dg.graph.edge_count == 0
 
-    def test_index_conventions(self, c5):
-        dg = build_doubled_graph(c5)
-        assert dg.layer1_index(3) == 3
-        assert dg.layer2_index(3) == 8
-        assert dg.layer_of(3) == 1
-        assert dg.layer_of(8) == 2
-        assert dg.base_of(8) == 3
-        assert dg.base_of(3) == 3
-
     @pytest.mark.parametrize("seed", range(8))
     def test_structural_invariants(self, seed):
         rng = random.Random(seed)
@@ -68,6 +59,13 @@ class TestBuildDoubledGraph:
         for v in range(n):
             assert dg.graph.weights[v] == g.weights[v]
             assert dg.graph.weights[n + v] == g.weights[v]
+        # the definition, normalized by from_edge_list: both layers' copies
+        # of every edge plus the matching; equality covers node count,
+        # adjacency and weights
+        edges = list(g.edges())
+        edges += [(n + u, n + v) for u, v in g.edges()]
+        edges += [(v, n + v) for v in range(n)]
+        assert dg.graph == from_edge_list(2 * n, edges, g.weights * 2)
 
     def test_deterministic(self, c5):
         assert build_doubled_graph(c5) == build_doubled_graph(c5)
