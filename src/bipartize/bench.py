@@ -9,17 +9,12 @@ the output that varies between runs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 from .graph import WeightedGraph, max_degree
 from .pipeline import solve_approx, solve_exact
 from .solvers import SolverLimits
-
-CSV_HEADER = (
-    "instance,n,m,max_degree,exact_weight,exact_optimal,"
-    "approx_weight,ratio,exact_search_nodes,exact_ms,approx_ms"
-)
 
 
 @dataclass(frozen=True)
@@ -38,21 +33,12 @@ class BenchRow:
 
     def to_csv(self) -> str:
         return ",".join(
-            str(x)
-            for x in (
-                self.instance,
-                self.n,
-                self.m,
-                self.max_degree,
-                self.exact_weight,
-                self.exact_optimal,
-                self.approx_weight,
-                self.ratio,
-                self.exact_search_nodes,
-                f"{self.exact_ms:.3f}",
-                f"{self.approx_ms:.3f}",
-            )
+            f"{value:.3f}" if isinstance(value, float) else str(value)
+            for value in (getattr(self, f.name) for f in fields(self))
         )
+
+
+CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
 
 
 def format_ratio(numerator: int, denominator: int) -> str:

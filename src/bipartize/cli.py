@@ -18,22 +18,11 @@ from pathlib import Path
 
 from . import generate
 from .bench import rows_to_csv, run_bench
-from .dimacs import (
-    ParseError,
-    parse_instance,
-    parse_solution,
-    write_instance,
-    write_solution,
-)
+from .dimacs import parse_instance, parse_solution, write_instance, write_solution
 from .graph import WeightedGraph
 from .pipeline import solve_approx, solve_exact, verify
 from .reduction import build_doubled_graph
-from .solvers import (
-    LimitExceededError,
-    SearchStats,
-    SolverLimits,
-    induced_bipartite_bruteforce,
-)
+from .solvers import SearchStats, SolverLimits, induced_bipartite_bruteforce
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -50,7 +39,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ParseError, LimitExceededError, ValueError, OSError) as exc:
+    # ParseError and LimitExceededError are ValueErrors
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -208,7 +198,7 @@ def _cmd_bench(args) -> int:
         if not paths:
             raise ValueError(f"no instance files in {args.dir}")
         for path in paths:
-            instances.append((path.name, parse_instance(path.read_text())))
+            instances.append((path.name, _load_instance(path)))
     else:
         weights = _parse_weights(args.weights)
         seed = args.seed

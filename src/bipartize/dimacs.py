@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 
-from .graph import Bipartition, WeightedGraph, from_edge_list
+from .graph import MAX_WEIGHT, Bipartition, WeightedGraph, from_edge_list
 from .reduction import BipartiteSolution
 from .solvers import SearchStats
 
@@ -68,6 +68,10 @@ def parse_instance(text: str) -> WeightedGraph:
                 raise ParseError(f"duplicate weight for node {node}", line_no)
             if weight < 0:
                 raise ParseError(f"negative weight {weight}", line_no)
+            if weight > MAX_WEIGHT:
+                raise ParseError(
+                    f"weight of node {node} exceeds {MAX_WEIGHT} ({weight})", line_no
+                )
             weights[node - 1] = weight
         elif kind == "e":
             if node_count < 0:
@@ -112,7 +116,7 @@ def write_instance(g: WeightedGraph) -> str:
     lines = [f"p edge {g.node_count} {g.edge_count}"]
     for v in range(g.node_count):
         lines.append(f"v {v + 1} {g.weights[v]}")
-    for u, v in sorted(g.edges()):
+    for u, v in g.edges():
         lines.append(f"e {u + 1} {v + 1}")
     return "\n".join(lines) + "\n"
 

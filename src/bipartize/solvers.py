@@ -331,29 +331,26 @@ class _BranchAndReduce:
         self.stats.search_nodes += 1
         weights, masks, closed = self.weights, self.masks, self.closed
         # domination to fixpoint: take v when w(v) covers its whole
-        # remaining neighborhood (isolated nodes always qualify)
-        changed = True
-        while changed:
-            changed = False
-            m = mask
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                nbrs = masks[v] & mask
-                total = 0
-                nb = nbrs
-                while nb:
-                    nlow = nb & -nb
-                    total += weights[nlow.bit_length() - 1]
-                    nb ^= nlow
-                if weights[v] >= total:
-                    chosen |= low
-                    current += weights[v]
-                    mask &= ~closed[v]
-                    self.stats.reductions["domination"] += 1
-                    changed = True
-                    break
+        # remaining neighborhood (isolated nodes always qualify); after a
+        # take the scan restarts from the lowest remaining node
+        m = mask
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            nbrs = masks[v] & mask
+            total = 0
+            nb = nbrs
+            while nb:
+                nlow = nb & -nb
+                total += weights[nlow.bit_length() - 1]
+                nb ^= nlow
+            if weights[v] >= total:
+                chosen |= low
+                current += weights[v]
+                mask &= ~closed[v]
+                self.stats.reductions["domination"] += 1
+                m = mask
         if not mask:
             if current > self.best_weight:
                 self.best_weight = current
@@ -468,61 +465,57 @@ def mwis_local_search(g: WeightedGraph, start: frozenset[int] | set[int]) -> Sol
         raise ValueError("start is not an independent set")
     weights = g.weights
     masks = g.neighbor_masks()
-    selected = {v for v in members if weights[v] > 0}
+    positive = _positive_mask(weights)
     sel_mask = 0
-    for v in selected:
+    for v in members:
         sel_mask |= 1 << v
-    candidates = [v for v in range(g.node_count) if weights[v] > 0]
+    sel_mask &= positive
+    candidates = _bits(positive)
     moves = 0
-    while True:
-        move = _find_move(candidates, selected, sel_mask, masks, weights)
-        if move is None:
-            break
+    while (move := _find_move(candidates, sel_mask, masks, weights)) is not None:
         removed, inserted = move
-        for v in removed:
-            selected.discard(v)
-            sel_mask &= ~(1 << v)
-        for v in inserted:
-            selected.add(v)
-            sel_mask |= 1 << v
+        sel_mask = sel_mask & ~removed | inserted
         moves += 1
     stats = SearchStats(search_nodes=moves)
     stats.elapsed_s = time.perf_counter() - began
+    selected = _bits(sel_mask)
     weight = sum(weights[v] for v in selected)
     return SolveResult(frozenset(selected), weight, False, stats)
 
 
 def _find_move(
-    candidates: list[int],
-    selected: set[int],
-    sel_mask: int,
-    masks: list[int],
-    weights,
-) -> tuple[list[int], list[int]] | None:
-    # add-moves first
+    candidates: list[int], sel_mask: int, masks: list[int], weights
+) -> tuple[int, int] | None:
+    """First improving move as (removed mask, inserted mask), or None.
+
+    One pass classifies each unselected candidate by its selected
+    neighbors, its tightness (Andrade, Resende & Werneck, J. Heuristics
+    2012): the first one with none is returned as an add-move, and one
+    with exactly one, u, is owned by u.  With no add-move left, removing u
+    frees exactly the nodes u owns.  So the swaps are tried from the owned
+    lists in this order: every (1,1)-swap, then every (1,2)-swap, each by
+    ascending u and ascending replacements.
+    """
+    owned: dict[int, list[int]] = {}
     for v in candidates:
-        if v not in selected and masks[v] & sel_mask == 0:
-            return [], [v]
-    # one-for-one swaps
-    for u in sorted(selected):
-        reduced = sel_mask & ~(1 << u)
-        for v in candidates:
-            if v not in selected and masks[v] & reduced == 0 and weights[v] > weights[u]:
-                return [u], [v]
-    # one-for-two swaps
-    for u in sorted(selected):
-        reduced = sel_mask & ~(1 << u)
-        free = [
-            v
-            for v in candidates
-            if v not in selected and masks[v] & reduced == 0
-        ]
+        if sel_mask >> v & 1:
+            continue
+        hit = masks[v] & sel_mask
+        if not hit:
+            return 0, 1 << v
+        if not hit & (hit - 1):
+            owned.setdefault(hit.bit_length() - 1, []).append(v)
+    owners = sorted(owned)
+    for u in owners:
+        for v in owned[u]:
+            if weights[v] > weights[u]:
+                return 1 << u, 1 << v
+    for u in owners:
+        free = owned[u]
         for i, a in enumerate(free):
             for b in free[i + 1 :]:
-                if masks[a] >> b & 1:
-                    continue
-                if weights[a] + weights[b] > weights[u]:
-                    return [u], [a, b]
+                if not masks[a] >> b & 1 and weights[a] + weights[b] > weights[u]:
+                    return 1 << u, 1 << a | 1 << b
     return None
 
 

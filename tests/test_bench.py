@@ -46,7 +46,10 @@ class TestRunBench:
             assert row.ratio == format_ratio(row.approx_weight, row.exact_weight)
         csv = rows_to_csv(rows)
         lines = csv.splitlines()
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == CSV_HEADER == (
+            "instance,n,m,max_degree,exact_weight,exact_optimal,"
+            "approx_weight,ratio,exact_search_nodes,exact_ms,approx_ms"
+        )
         assert len(lines) == 3
         assert lines[1].startswith("c5,5,5,2,4,True,")
 

@@ -63,6 +63,13 @@ class TestParseInstance:
         with pytest.raises(ParseError, match="negative weight"):
             parse_instance("p edge 1 0\nv 1 -2\n")
 
+    def test_weight_over_limit_names_file_node_and_line(self):
+        with pytest.raises(
+            ParseError, match=r"^line 3: weight of node 2 exceeds 4294967295 "
+        ):
+            parse_instance("p edge 2 1\nv 1 3\nv 2 99999999999\ne 1 2\n")
+        assert parse_instance("p edge 1 0\nv 1 4294967295\n").weights == (2**32 - 1,)
+
     def test_duplicate_weight_line(self):
         with pytest.raises(ParseError, match="duplicate weight for node 1"):
             parse_instance("p edge 1 0\nv 1 2\nv 1 3\n")

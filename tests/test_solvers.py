@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from bipartize import (
     mwis_greedy,
     mwis_local_search,
     set_weight,
+    solve_approx,
 )
 from bipartize.generate import gnp
 
@@ -238,6 +240,93 @@ class TestMwisLocalSearch:
         assert is_independent_set(g, result.solution)
         assert set_weight(g, result.solution) == result.weight
         assert _no_improving_move(g, result.solution)
+
+
+def _digest(nodes) -> str:
+    return hashlib.sha256(",".join(map(str, sorted(nodes))).encode()).hexdigest()[:16]
+
+
+def _unit_greedy_start(g):
+    # greedy on unit weights: an independent set of g that keeps g's
+    # zero-weight nodes, which local search must drop
+    unit = from_edge_list(g.node_count, list(g.edges()), [1] * g.node_count)
+    return mwis_greedy(unit).solution
+
+
+class TestPinnedOutputs:
+    """Exact outputs of the heuristic and exact engines on seeded G(n, p).
+
+    The engines promise deterministic scan orders, so a rewrite that keeps
+    the behaviour must reproduce these solutions and counts exactly.
+    Solutions are pinned by a digest of their sorted members.
+    """
+
+    @pytest.mark.parametrize(
+        "case,start,weight,moves,digest",
+        [
+            ((40, 0.1, 1, (1, 100)), "greedy", 1160, 2, "9bb566caf981aaca"),
+            ((40, 0.1, 1, (1, 100)), "empty", 1131, 28, "1595f08a1bc0d43d"),
+            ((40, 0.1, 1, (1, 100)), "unit-greedy", 1131, 8, "1595f08a1bc0d43d"),
+            ((60, 0.08, 2, (0, 3)), "greedy", 44, 0, "3e6fa68f1dacbc94"),
+            ((60, 0.08, 2, (0, 3)), "empty", 42, 24, "12d1794e10b14d21"),
+            ((60, 0.08, 2, (0, 3)), "unit-greedy", 45, 6, "86c7023bb745b0ff"),
+            ((80, 0.05, 3, (1, 100)), "empty", 2225, 47, "441ff38868e248b3"),
+            ((80, 0.05, 3, (1, 100)), "unit-greedy", 2079, 2, "e0d6dcf152c4a417"),
+            ((50, 0.2, 4, (0, 10)), "greedy", 94, 1, "4d80db077f73b35b"),
+            ((50, 0.2, 4, (0, 10)), "empty", 88, 18, "6fff08faa8fb3bd1"),
+            ((120, 0.03, 5, (1, 100)), "empty", 2990, 62, "754e397bb0b4b215"),
+            ((120, 0.03, 5, (1, 100)), "unit-greedy", 3053, 6, "f87f80378d6bdc2d"),
+        ],
+    )
+    def test_local_search(self, case, start, weight, moves, digest):
+        n, p, seed, weights = case
+        g = gnp(n, p, seed=seed, weights=weights)
+        starts = {
+            "greedy": lambda: mwis_greedy(g).solution,
+            "empty": frozenset,
+            "unit-greedy": lambda: _unit_greedy_start(g),
+        }
+        result = mwis_local_search(g, starts[start]())
+        assert result.weight == weight
+        assert result.stats.search_nodes == moves
+        assert _digest(result.solution) == digest
+
+    @pytest.mark.parametrize(
+        "case,weight,size_a,size_b,digest_a,digest_b",
+        [
+            ((150, 0.03, 11), 6540, 60, 47, "967fa2ec37a7c64b", "d34c4645b75acf3a"),
+            ((200, 0.02, 12), 8442, 86, 69, "0a0e0292c6037960", "865dd2335a65e1cf"),
+            ((120, 0.06, 13), 3978, 37, 33, "c871bdeb6ee2658b", "0673d62e41744dca"),
+        ],
+    )
+    def test_solve_approx(self, case, weight, size_a, size_b, digest_a, digest_b):
+        n, p, seed = case
+        sol = solve_approx(gnp(n, p, seed=seed, weights=(1, 100)))
+        side_a, side_b = sol.bipartition.side_a, sol.bipartition.side_b
+        assert sol.weight == weight
+        assert (len(side_a), len(side_b)) == (size_a, size_b)
+        assert (_digest(side_a), _digest(side_b)) == (digest_a, digest_b)
+
+    @pytest.mark.parametrize(
+        "case,weight,search_nodes,domination,doubled",
+        [
+            ((30, 0.2, 21, (1, 100)), 689, 63, 109, (1278, 1069, 2230)),
+            ((36, 0.1, 22, (1, 100)), 998, 7, 24, (1548, 631, 1980)),
+            ((28, 0.3, 23, (0, 5)), 25, 29, 37, (48, 243, 465)),
+            ((40, 0.15, 24, (1, 100)), 779, 103, 226, None),
+        ],
+    )
+    def test_exact(self, case, weight, search_nodes, domination, doubled):
+        n, p, seed, weights = case
+        g = gnp(n, p, seed=seed, weights=weights)
+        graphs = [(g, (weight, search_nodes, domination))]
+        if doubled is not None:
+            graphs.append((build_doubled_graph(g).graph, doubled))
+        for h, expected in graphs:
+            result = mwis_exact(h)
+            domination = result.stats.reductions["domination"]
+            assert (result.weight, result.stats.search_nodes, domination) == expected
+            assert set_weight(h, result.solution) == result.weight
 
 
 class TestInducedBipartiteBruteforce:
