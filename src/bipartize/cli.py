@@ -77,8 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--engine", choices=("exact", "approx", "bruteforce"), default="exact"
     )
-    solve.add_argument("--budget-nodes", type=int, help="search-node budget (exact)")
-    solve.add_argument("--budget-ms", type=int, help="time budget in ms (exact)")
+    _add_budget_flags(solve)
     solve.add_argument("--json", action="store_true", help="print schema JSON")
     solve.add_argument("-o", "--output", type=Path)
     solve.set_defaults(handler=_cmd_solve)
@@ -100,10 +99,24 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--weights", default="1..100", help="'unit' or a range (grid only)"
     )
+    _add_budget_flags(bench)
     bench.add_argument("-o", "--output", type=Path, help="CSV output (default stdout)")
     bench.set_defaults(handler=_cmd_bench)
 
     return parser
+
+
+def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--budget-nodes", type=int, help="search-node budget (exact)")
+    parser.add_argument("--budget-ms", type=int, help="time budget in ms (exact)")
+
+
+def _limits(args) -> SolverLimits:
+    """The exact engine's budgets from ``--budget-nodes``/``--budget-ms``."""
+    return SolverLimits(
+        node_budget=args.budget_nodes,
+        time_budget_s=None if args.budget_ms is None else args.budget_ms / 1000.0,
+    )
 
 
 def _parse_weights(spec: str) -> tuple[int, int] | None:
@@ -156,10 +169,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = _load_instance(args.instance)
-    limits = SolverLimits(
-        node_budget=args.budget_nodes,
-        time_budget_s=None if args.budget_ms is None else args.budget_ms / 1000.0,
-    )
+    limits = _limits(args)
     if args.engine == "exact":
         sol, result = solve_exact(g, limits)
         optimal, stats = result.optimal, result.stats
@@ -192,6 +202,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    limits = _limits(args)
     instances: list[tuple[str, WeightedGraph]] = []
     if args.dir is not None:
         paths = sorted(p for p in args.dir.iterdir() if p.is_file())
@@ -210,7 +221,7 @@ def _cmd_bench(args) -> int:
                         (name, generate.gnp(n, p, seed=seed, weights=weights))
                     )
                     seed += 1
-    rows = run_bench(instances)
+    rows = run_bench(instances, limits)
     _emit(rows_to_csv(rows), args.output)
     return EXIT_OK
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 
-from .graph import MAX_WEIGHT, Bipartition, WeightedGraph, from_edge_list
+from .graph import MAX_WEIGHT, Bipartition, WeightedGraph, _normalized_graph
 from .reduction import BipartiteSolution
 from .solvers import SearchStats
 
@@ -97,11 +97,9 @@ def parse_instance(text: str) -> WeightedGraph:
             f"header declares {declared_edges} edges but file has {len(edges)}",
             header_line,
         )
+    # every line was checked above, so the graph is built without re-checking
     weight_list = [weights.get(v, 1) for v in range(node_count)]
-    try:
-        return from_edge_list(node_count, edges, weight_list)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _normalized_graph(node_count, edges, weight_list)
 
 
 def _int(token: str, line_no: int) -> int:

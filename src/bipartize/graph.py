@@ -98,7 +98,7 @@ def from_edge_list(
             raise ValueError(f"weight of node {v} is negative ({w})")
         if w > MAX_WEIGHT:
             raise ValueError(f"weight of node {v} exceeds {MAX_WEIGHT} ({w})")
-    neighbor_sets: list[set[int]] = [set() for _ in range(node_count)]
+    checked = []
     for u, v in edges:
         u, v = int(u), int(v)
         if u == v:
@@ -108,10 +108,21 @@ def from_edge_list(
                 f"edge ({u}, {v}) has an endpoint out of range for "
                 f"{node_count} nodes"
             )
+        checked.append((u, v))
+    return _normalized_graph(node_count, checked, weight_list)
+
+
+def _normalized_graph(
+    node_count: int, edges: Iterable[tuple[int, int]], weights: Iterable[int]
+) -> WeightedGraph:
+    """The graph of :func:`from_edge_list` without its checks: the caller
+    guarantees in-range endpoints, no self-loops and valid weights."""
+    neighbor_sets: list[set[int]] = [set() for _ in range(node_count)]
+    for u, v in edges:
         neighbor_sets[u].add(v)
         neighbor_sets[v].add(u)
     adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
-    return WeightedGraph(node_count, adjacency, tuple(weight_list))
+    return WeightedGraph(node_count, adjacency, tuple(weights))
 
 
 def _checked_members(g: WeightedGraph, members: Iterable[int]) -> frozenset[int]:

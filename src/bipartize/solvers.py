@@ -20,6 +20,8 @@ randomness or floating point.
 
 from __future__ import annotations
 
+import heapq
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -409,25 +411,51 @@ def _clique_cover_bound(mask: int, masks: list[int], weights) -> int:
 
 
 def _greedy_order(masks: list[int], weights, mask: int) -> list[int]:
-    """Pick nodes by descending weight/(degree+1), degrees taken in the
-    shrinking graph; cross-multiplied integer comparisons, smallest index
-    on ties.  Only positive-weight nodes are considered."""
+    """Greedy pick order inside ``mask``: repeatedly the node with the
+    largest weight/(degree+1), degrees taken in the shrinking graph,
+    smallest index on ties.
+
+    The nodes sit in a lazily updated min-heap under exact integer keys.
+    With D the largest starting degree, L = lcm(1..D+1) and n one more than
+    the largest index in ``mask``, the key ``v - w(v) * (L // (d+1)) * n``
+    orders by descending w/(d+1), then by ascending index, and ``key % n``
+    recovers v.  A pick removes its closed
+    neighborhood; only the live nodes next to that neighborhood lose degree,
+    so only they are re-keyed and pushed again.  The old entries stay in the
+    heap: keys only fall, so a live node's newest entry is its smallest and
+    pops first, and any entry popped for a node no longer live is skipped.
+    """
+    nodes = _bits(mask)
+    if not nodes:
+        return []
+    n = nodes[-1] + 1
+    degree = [(masks[v] & mask).bit_count() for v in nodes]
+    lcm = math.lcm(*range(1, max(degree) + 2))
+    step = [lcm // (d + 1) * n for d in range(max(degree) + 1)]
+    heap = [v - weights[v] * step[d] for v, d in zip(nodes, degree)]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     order = []
     cur = mask
     while cur:
-        best_v = -1
-        best_w = 0
-        best_d = 0
-        m = cur
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            d = (masks[v] & cur).bit_count()
-            if best_v < 0 or weights[v] * (best_d + 1) > best_w * (d + 1):
-                best_v, best_w, best_d = v, weights[v], d
-        order.append(best_v)
-        cur &= ~(masks[best_v] | (1 << best_v))
+        key = pop(heap)
+        v = key % n
+        if not cur >> v & 1:
+            continue
+        order.append(v)
+        removed = (masks[v] | 1 << v) & cur
+        cur ^= removed
+        touched = 0
+        while removed:
+            low = removed & -removed
+            touched |= masks[low.bit_length() - 1]
+            removed ^= low
+        touched &= cur
+        while touched:
+            low = touched & -touched
+            u = low.bit_length() - 1
+            touched ^= low
+            push(heap, u - weights[u] * step[(masks[u] & cur).bit_count()])
     return order
 
 
@@ -436,7 +464,12 @@ def mwis_greedy(g: WeightedGraph) -> SolveResult:
     weight/(current degree + 1) ratio and delete its closed neighborhood.
 
     The result's weight is at least the sum over all nodes of
-    ``w(v)/(degree(v)+1)`` in the input graph.  Never claims optimality.
+    ``w(v)/(degree(v)+1)`` in the input graph (GWMIN; Sakai, Togasaki &
+    Yamazaki, DAM 2003).  Never claims optimality.  The picks come from a
+    min-heap under exact integer keys that re-keys only the nodes whose
+    degree dropped (see :func:`_greedy_order`), so a pick costs work in
+    proportion to the nodes it re-keys, not a scan of the whole graph.
+    ``stats.search_nodes`` counts the picks.
     """
     start = time.perf_counter()
     order = _greedy_order(g.neighbor_masks(), g.weights, _positive_mask(g.weights))

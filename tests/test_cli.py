@@ -180,6 +180,22 @@ class TestBench:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[1].startswith("c5.col,5,5,2,4,True,")
 
+    def test_dir_node_budget_reaches_exact_engine(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        path = corpus / "g.col"
+        main(["gen", "gnp", "--nodes", "18", "--prob", "0.4", "--seed", "2", "-o", str(path)])
+        for extra, optimal in (([], "True"), (["--budget-nodes", "1"], "False")):
+            assert main(["bench", "--dir", str(corpus), *extra]) == 0
+            lines = capsys.readouterr().out.strip().splitlines()
+            row = dict(zip(lines[0].split(","), lines[1].split(",")))
+            assert row["exact_optimal"] == optimal
+
+    @pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-ms"])
+    def test_zero_budget_is_usage_error(self, capsys, flag):
+        assert main(["bench", "--grid-n", "6", flag, "0"]) == 2
+        assert "must be positive" in capsys.readouterr().err
+
     def test_empty_dir_is_usage_error(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()

@@ -20,6 +20,8 @@ from bipartize import (
     solve_approx,
 )
 from bipartize.generate import gnp
+from bipartize.graph import MAX_WEIGHT
+from bipartize.solvers import _greedy_order, _positive_mask
 
 from .conftest import (
     complete_graph,
@@ -176,6 +178,77 @@ class TestMwisGreedy:
             Fraction(g.weights[v], g.degree(v) + 1) for v in range(g.node_count)
         )
         assert Fraction(result.weight) >= bound
+
+
+def _reference_greedy_order(masks, weights, mask):
+    """The plain greedy scan: rescan every live node on every pick."""
+    order = []
+    cur = mask
+    while cur:
+        best_v = -1
+        best_w = 0
+        best_d = 0
+        m = cur
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            d = (masks[v] & cur).bit_count()
+            if best_v < 0 or weights[v] * (best_d + 1) > best_w * (d + 1):
+                best_v, best_w, best_d = v, weights[v], d
+        order.append(best_v)
+        cur &= ~(masks[best_v] | (1 << best_v))
+    return order
+
+
+def _assert_greedy_matches_reference(g, mask):
+    masks, weights = g.neighbor_masks(), g.weights
+    expected = _reference_greedy_order(masks, weights, mask)
+    assert _greedy_order(masks, weights, mask) == expected
+
+
+class TestGreedyOrder:
+    """The greedy's pick order equals the plain rescan, pick for pick."""
+
+    @pytest.mark.parametrize("weights", [None, (0, 3), (1, MAX_WEIGHT)])
+    def test_matches_reference_on_gnp(self, weights):
+        for seed in range(100):
+            rng = random.Random(seed)
+            n = rng.randint(1, 60)
+            p = rng.choice([0.05, 0.1, 0.2, 0.4, 0.7])
+            g = gnp(n, p, seed=seed, weights=weights)
+            for h in (g, build_doubled_graph(g).graph):
+                positive = _positive_mask(h.weights)
+                _assert_greedy_matches_reference(h, positive)
+                # a partial live mask, as the exact engine may pass
+                partial = positive & rng.getrandbits(h.node_count)
+                _assert_greedy_matches_reference(h, partial)
+
+    @pytest.mark.parametrize(
+        "edges,weights,order",
+        [
+            # w=1, d=0 and w=2, d=1 tie on ratio: smaller index first
+            ([(1, 2)], [1, 2, 2], [0, 1]),
+            ([(0, 1)], [2, 2, 1], [0, 2]),
+            # taking 0 removes 1, so node 2's ratio rises from 3/2 to 3/1
+            # and now beats node 3's 5/2
+            ([(0, 1), (1, 2), (3, 4)], [10, 1, 3, 5, 1], [0, 2, 3]),
+        ],
+    )
+    def test_ties_and_rekeys(self, edges, weights, order):
+        g = from_edge_list(len(weights), edges, weights)
+        mask = _positive_mask(g.weights)
+        assert _greedy_order(g.neighbor_masks(), g.weights, mask) == order
+        _assert_greedy_matches_reference(g, mask)
+
+    def test_empty(self):
+        assert _greedy_order([], (), 0) == []
+        g = from_edge_list(3, [(0, 1)], [2, 3, 4])
+        assert _greedy_order(g.neighbor_masks(), g.weights, 0) == []
+
+    def test_large_doubled_graph(self):
+        g = build_doubled_graph(gnp(1000, 0.005, seed=2)).graph
+        _assert_greedy_matches_reference(g, _positive_mask(g.weights))
 
 
 def _no_improving_move(g, solution):
