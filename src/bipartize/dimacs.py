@@ -24,6 +24,10 @@ from .graph import MAX_WEIGHT, Bipartition, WeightedGraph, _normalized_graph
 from .reduction import BipartiteSolution
 from .solvers import SearchStats
 
+# Largest node count a header may declare: a parsed graph takes about 240
+# bytes per node even without edges, so a bare header could exhaust memory.
+MAX_NODES = 10**6
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
@@ -54,6 +58,10 @@ def parse_instance(text: str) -> WeightedGraph:
             node_count, declared_edges = _int(parts[2], line_no), _int(parts[3], line_no)
             if node_count < 0 or declared_edges < 0:
                 raise ParseError("negative count in header", line_no)
+            if node_count > MAX_NODES:
+                raise ParseError(
+                    f"node count {node_count} exceeds the cap of {MAX_NODES}", line_no
+                )
             header_line = line_no
         elif kind == "v":
             if node_count < 0:

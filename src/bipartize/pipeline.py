@@ -1,7 +1,8 @@
 """End-to-end solvers: double the graph, solve independent set, lift back.
 
-Every pipeline re-verifies its own output before returning it; a returned
-solution always carries a checked bipartition witness.
+Every pipeline re-verifies its own output before returning it: the lift
+checks the solution against the source graph, so a returned solution always
+carries a checked bipartition witness.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from typing import Callable
 from .graph import WeightedGraph
 from .reduction import (
     BipartiteSolution,
+    _require_valid,
     build_doubled_graph,
     check_solution,
     lift_independent_set,
@@ -50,13 +52,11 @@ def solve_approx(g: WeightedGraph) -> BipartiteSolution:
 def _solve(
     g: WeightedGraph, engine: Callable[[WeightedGraph], SolveResult]
 ) -> tuple[BipartiteSolution, SolveResult]:
-    # double -> engine -> lift -> verify; the engines and checks are called
-    # through this module's names, so wrapping one here covers both solvers
+    # double -> engine -> lift (which verifies); the steps are called through
+    # this module's names, so wrapping one here covers both solvers
     dg = build_doubled_graph(g)
     result = engine(dg.graph)
-    sol = lift_independent_set(dg, g, result.solution)
-    _require_valid(g, sol)
-    return sol, result
+    return lift_independent_set(dg, g, result.solution), result
 
 
 def verify(g: WeightedGraph, sol: BipartiteSolution) -> tuple[bool, str]:
@@ -80,9 +80,3 @@ def oct_weight(g: WeightedGraph, sol: BipartiteSolution) -> int:
     """
     _require_valid(g, sol)
     return g.total_weight() - sol.weight
-
-
-def _require_valid(g: WeightedGraph, sol: BipartiteSolution) -> None:
-    problem = check_solution(g, sol)
-    if problem is not None:
-        raise ValueError(f"invalid solution: {problem}")

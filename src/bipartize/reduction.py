@@ -66,24 +66,26 @@ def lift_independent_set(
     Layer-1 members become ``side_a``, layer-2 members map down to
     ``side_b``.  The matching edges make the sides disjoint, and each
     layer's copy of the source edges makes each side independent in ``g``,
-    so the union induces a bipartite subgraph of equal total weight.
+    so the union induces a bipartite subgraph of equal total weight.  So
+    the set is independent in the doubled graph exactly when the lifted
+    solution passes :func:`check_solution` on ``g``, the lift's one check.
 
     Raises ValueError if ``dg`` does not match ``g`` or if ``ind_set`` is
-    not independent in the doubled graph.
+    not independent in the doubled graph, naming the failed condition.
     """
     _check_pair(dg, g)
     n = g.node_count
     chosen = frozenset(int(v) for v in ind_set)
-    if not is_independent_set(dg.graph, chosen):
-        raise ValueError("input set is not independent in the doubled graph")
     side_a = frozenset(v for v in chosen if v < n)
     side_b = frozenset(v - n for v in chosen if v >= n)
     node_set = side_a | side_b
-    return BipartiteSolution(
-        node_set=node_set,
-        bipartition=Bipartition(side_a, side_b),
-        weight=set_weight(g, node_set),
-    )
+    # an out-of-range member fails the check before the weight is compared
+    weight = sum(g.weights[v] for v in node_set if 0 <= v < n)
+    sol = BipartiteSolution(node_set, Bipartition(side_a, side_b), weight)
+    fault = check_solution(g, sol)
+    if fault is not None:
+        raise ValueError(f"input set is not independent in the doubled graph: {fault}")
+    return sol
 
 
 def project_bipartite(
@@ -99,9 +101,7 @@ def project_bipartite(
     Raises ValueError naming the first violated solution invariant.
     """
     _check_pair(dg, g)
-    problem = check_solution(g, sol)
-    if problem is not None:
-        raise ValueError(f"invalid solution: {problem}")
+    _require_valid(g, sol)
     n = g.node_count
     return frozenset(sol.bipartition.side_a) | frozenset(
         n + v for v in sol.bipartition.side_b
@@ -129,6 +129,12 @@ def check_solution(g: WeightedGraph, sol: BipartiteSolution) -> str | None:
     if sol.weight != set_weight(g, sol.node_set):
         return "weight mismatch"
     return None
+
+
+def _require_valid(g: WeightedGraph, sol: BipartiteSolution) -> None:
+    problem = check_solution(g, sol)
+    if problem is not None:
+        raise ValueError(f"invalid solution: {problem}")
 
 
 def _check_pair(dg: DoubledGraph, g: WeightedGraph) -> None:

@@ -21,7 +21,6 @@ randomness or floating point.
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -272,10 +271,11 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     Before every branch, two safe rules run to fixpoint: nodes whose weight
     dominates their remaining neighborhood's total are taken, and
     zero-weight nodes are dropped.  Branching picks a maximum-degree node
-    (ties: larger weight, then smaller index) and explores taking it before
-    excluding it.  Pruning uses a greedy clique-cover bound.  With a node
-    or time budget the search may stop early; the result is then the best
-    solution found, flagged ``optimal=False``.
+    (ties: larger weight, then smaller index), found by the last domination
+    pass, and explores taking it before excluding it.  Pruning uses a
+    greedy clique-cover bound.  With a node or time budget the search may
+    stop early; the result is then the best solution found, flagged
+    ``optimal=False``.
     """
     limits = limits or SolverLimits()
     search = _BranchAndReduce(g, limits)
@@ -334,8 +334,11 @@ class _BranchAndReduce:
         weights, masks, closed = self.weights, self.masks, self.closed
         # domination to fixpoint: take v when w(v) covers its whole
         # remaining neighborhood (isolated nodes always qualify); after a
-        # take the scan restarts from the lowest remaining node
+        # take the scan restarts from the lowest remaining node.  The last
+        # pass takes nothing and sees every live node, so it also picks the
+        # branch node; a take starts a new pass, so it resets the choice.
         m = mask
+        best_v = best_deg = best_w = -1
         while m:
             low = m & -m
             v = low.bit_length() - 1
@@ -347,12 +350,18 @@ class _BranchAndReduce:
                 nlow = nb & -nb
                 total += weights[nlow.bit_length() - 1]
                 nb ^= nlow
-            if weights[v] >= total:
+            wv = weights[v]
+            if wv >= total:
                 chosen |= low
-                current += weights[v]
+                current += wv
                 mask &= ~closed[v]
                 self.stats.reductions["domination"] += 1
                 m = mask
+                best_v = best_deg = best_w = -1
+                continue
+            deg = nbrs.bit_count()
+            if deg > best_deg or (deg == best_deg and wv > best_w):
+                best_v, best_deg, best_w = v, deg, wv
         if not mask:
             if current > self.best_weight:
                 self.best_weight = current
@@ -360,26 +369,11 @@ class _BranchAndReduce:
             return
         if current + _clique_cover_bound(mask, masks, weights) <= self.best_weight:
             return
-        v = self._branch_node(mask)
+        v = best_v
         self._search(mask & ~closed[v], current + weights[v], chosen | (1 << v))
         if self.exhausted:
             return
         self._search(mask & ~(1 << v), current, chosen)
-
-    def _branch_node(self, mask: int) -> int:
-        weights, masks = self.weights, self.masks
-        best_v = -1
-        best_deg = -1
-        best_w = -1
-        m = mask
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            deg = (masks[v] & mask).bit_count()
-            if deg > best_deg or (deg == best_deg and weights[v] > best_w):
-                best_v, best_deg, best_w = v, deg, weights[v]
-        return best_v
 
 
 def _clique_cover_bound(mask: int, masks: list[int], weights) -> int:
@@ -416,23 +410,27 @@ def _greedy_order(masks: list[int], weights, mask: int) -> list[int]:
     smallest index on ties.
 
     The nodes sit in a lazily updated min-heap under exact integer keys.
-    With D the largest starting degree, L = lcm(1..D+1) and n one more than
-    the largest index in ``mask``, the key ``v - w(v) * (L // (d+1)) * n``
+    With D the largest starting degree, S = (D+1)^2 and n one more than the
+    largest index in ``mask``, the key ``v - (w(v) * S // (d+1)) * n``
     orders by descending w/(d+1), then by ascending index, and ``key % n``
-    recovers v.  A pick removes its closed
-    neighborhood; only the live nodes next to that neighborhood lose degree,
-    so only they are re-keyed and pushed again.  The old entries stay in the
-    heap: keys only fall, so a live node's newest entry is its smallest and
-    pops first, and any entry popped for a node no longer live is skipped.
+    recovers v.  The floor keeps the exact order: two different ratios with
+    degrees at most D differ by at least 1/S, so their multiples of S have
+    distinct floors, and equal ratios get equal keys.  S adds only about
+    2 log2(D+1) bits to a key, so its memory grows as log D, not with D.
+
+    A pick removes its closed neighborhood; only the live nodes next to
+    that neighborhood lose degree, so only they are re-keyed and pushed
+    again.  The old entries stay in the heap: keys never rise, so a live
+    node's newest entry is its smallest and pops first, and any entry
+    popped for a node no longer live is skipped.
     """
     nodes = _bits(mask)
     if not nodes:
         return []
     n = nodes[-1] + 1
     degree = [(masks[v] & mask).bit_count() for v in nodes]
-    lcm = math.lcm(*range(1, max(degree) + 2))
-    step = [lcm // (d + 1) * n for d in range(max(degree) + 1)]
-    heap = [v - weights[v] * step[d] for v, d in zip(nodes, degree)]
+    scale = (max(degree) + 1) ** 2
+    heap = [v - weights[v] * scale // (d + 1) * n for v, d in zip(nodes, degree)]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     order = []
@@ -455,7 +453,8 @@ def _greedy_order(masks: list[int], weights, mask: int) -> list[int]:
             low = touched & -touched
             u = low.bit_length() - 1
             touched ^= low
-            push(heap, u - weights[u] * step[(masks[u] & cur).bit_count()])
+            d = (masks[u] & cur).bit_count()
+            push(heap, u - weights[u] * scale // (d + 1) * n)
     return order
 
 

@@ -73,6 +73,12 @@ class TestReduce:
         assert main(["reduce", str(bad)]) == 2
         assert "self-loop" in capsys.readouterr().err
 
+    def test_node_count_over_cap_is_usage_error(self, capsys, tmp_path):
+        big = tmp_path / "big.col"
+        big.write_text("p edge 1000001 0\n")
+        assert main(["reduce", str(big)]) == 2
+        assert "node count 1000001 exceeds the cap of 1000000" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_exact_json(self, capsys, c5_file):

@@ -78,6 +78,17 @@ class TestParseInstance:
         with pytest.raises(ParseError, match="unknown line type 'x'"):
             parse_instance("p edge 1 0\nx 1 2\n")
 
+    def test_node_count_over_cap(self):
+        # rejected on the header line, before any per-node allocation
+        with pytest.raises(
+            ParseError,
+            match=r"^line 2: node count 1000001 exceeds the cap of 1000000$",
+        ):
+            parse_instance("c big\np edge 1000001 0\n")
+        # the cap itself is accepted: parsing fails later, on the edge count
+        with pytest.raises(ParseError, match="declares 1 edges but file has 0"):
+            parse_instance("p edge 1000000 1\n")
+
     def test_non_integer_token(self):
         with pytest.raises(ParseError, match="expected an integer"):
             parse_instance("p edge 1 0\nv 1 heavy\n")

@@ -15,7 +15,9 @@ from bipartize import (
     solve_exact,
     verify,
 )
+from bipartize import pipeline
 from bipartize.generate import gnp
+from bipartize.solvers import SearchStats, SolveResult
 
 from .conftest import complete_graph, cycle_graph, edgeless_graph, star_graph
 
@@ -128,3 +130,23 @@ class TestOctWeight:
         g = gnp(10, 0.5, seed=seed, weights=(1, 20))
         sol, _ = solve_exact(g)
         assert oct_weight(g, sol) + sol.weight == g.total_weight()
+
+
+class TestFaultyEngine:
+    """A wrong engine answer is caught before a solver returns it."""
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            frozenset({0, 5}),  # both copies of node 0 in the doubled C5
+            frozenset({0, 1}),  # two adjacent layer-1 nodes
+        ],
+    )
+    def test_solvers_raise(self, monkeypatch, c5, members):
+        result = SolveResult(members, 2, True, SearchStats())
+        monkeypatch.setattr(pipeline, "mwis_exact", lambda h, limits: result)
+        monkeypatch.setattr(pipeline, "mwis_local_search", lambda h, start: result)
+        with pytest.raises(ValueError, match="not independent in the doubled graph"):
+            solve_exact(c5)
+        with pytest.raises(ValueError, match="not independent in the doubled graph"):
+            solve_approx(c5)

@@ -101,6 +101,23 @@ class TestLiftIndependentSet:
         with pytest.raises(ValueError, match="not independent"):
             lift_independent_set(dg, k3, {0, 3})
 
+    @pytest.mark.parametrize(
+        "members,condition",
+        [
+            ({0, 3}, "sides intersect"),
+            ({0, 1}, "side_a not independent"),
+            ({4, 5}, "side_b not independent"),
+            ({-1}, "member out of range"),
+        ],
+    )
+    def test_rejection_names_condition(self, k3, members, condition):
+        dg = build_doubled_graph(k3)
+        with pytest.raises(
+            ValueError,
+            match=f"^input set is not independent in the doubled graph: {condition}$",
+        ):
+            lift_independent_set(dg, k3, members)
+
     def test_rejects_out_of_range(self, k3):
         dg = build_doubled_graph(k3)
         with pytest.raises(ValueError, match="out of range"):

@@ -251,6 +251,44 @@ class TestGreedyOrder:
         _assert_greedy_matches_reference(g, _positive_mask(g.weights))
 
 
+class TestGreedyOrderHighDegree:
+    """Near-tied ratios at large degrees keep the rescan's pick order."""
+
+    @pytest.mark.parametrize("d", [300, 3000])
+    def test_high_degree_ratio_gap(self, d):
+        # hub 0 has degree d and hub 1 degree d - 1, both of weight 1, on
+        # disjoint zero-weight leaves that stay in the mask: the ratios
+        # 1/(d+1) < 1/d differ by only 1/(d(d+1)), so hub 1 must come first
+        edges = [(0, 2 + i) for i in range(d)]
+        edges += [(1, 2 + d + i) for i in range(d - 1)]
+        n = 2 * d + 1
+        g = from_edge_list(n, edges, [1, 1] + [0] * (n - 2))
+        mask = (1 << n) - 1
+        assert _greedy_order(g.neighbor_masks(), g.weights, mask) == [1, 0]
+        _assert_greedy_matches_reference(g, mask)
+
+    @pytest.mark.parametrize(
+        "shape,leaves,hub,leaf_weights",
+        [
+            ("star", 500, 1, (1, 1)),
+            ("star", 1000, 50, (1, 100)),
+            # the hub's ratio 3001/3001 ties the leaves' 2/2: index 0 wins
+            ("star", 3000, 3001, (2, 2)),
+            ("star", 3000, 3002, (2, 2)),
+            ("wheel", 500, 1, (1, 1)),
+            ("wheel", 1000, 10_000, (1, 100)),
+        ],
+    )
+    def test_stars_and_wheels(self, shape, leaves, hub, leaf_weights):
+        rng = random.Random(leaves + hub)
+        edges = [(0, v) for v in range(1, leaves + 1)]
+        if shape == "wheel":
+            edges += [(v, v % leaves + 1) for v in range(1, leaves + 1)]
+        weights = [hub] + [rng.randint(*leaf_weights) for _ in range(leaves)]
+        g = from_edge_list(leaves + 1, edges, weights)
+        _assert_greedy_matches_reference(g, _positive_mask(g.weights))
+
+
 def _no_improving_move(g, solution):
     """Independent re-scan of the move neighborhood, for local-optimality."""
     selected = set(solution)
