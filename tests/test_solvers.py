@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bipartize.solvers as solvers
 from bipartize import (
     LimitExceededError,
     SolverLimits,
@@ -11,6 +14,7 @@ from bipartize import (
     check_solution,
     from_edge_list,
     induced_bipartite_bruteforce,
+    induced_subgraph,
     is_independent_set,
     mwis_bruteforce,
     mwis_exact,
@@ -21,7 +25,7 @@ from bipartize import (
 )
 from bipartize.generate import gnp
 from bipartize.graph import MAX_WEIGHT
-from bipartize.solvers import _greedy_order, _positive_mask
+from bipartize.solvers import _clique_cover_bound, _greedy_order, _positive_mask
 
 from .conftest import (
     complete_graph,
@@ -145,6 +149,61 @@ class TestMwisExact:
         assert first.solution == second.solution
         assert first.stats.search_nodes == second.stats.search_nodes
         assert first.stats.reductions == second.stats.reductions
+
+
+def _reference_clique_cover_bound(mask, masks, weights):
+    """The plain cover: each node scans every clique made so far."""
+    cliques = []  # [common neighborhood mask, max weight]
+    for v in range(mask.bit_length()):
+        if not mask >> v & 1:
+            continue
+        for clique in cliques:
+            if clique[0] >> v & 1:
+                clique[0] &= masks[v]
+                clique[1] = max(clique[1], weights[v])
+                break
+        else:
+            cliques.append([masks[v], weights[v]])
+    return sum(c[1] for c in cliques)
+
+
+@st.composite
+def doubled_graphs_with_live_masks(draw, max_nodes=12):
+    """A doubled graph of at most 2 * max_nodes nodes and a live mask on it."""
+    n = draw(st.integers(min_value=0, max_value=max_nodes))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [pair for pair in pairs if draw(st.booleans())]
+    weights = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+    h = build_doubled_graph(from_edge_list(n, edges, weights)).graph
+    live = draw(st.integers(min_value=0, max_value=(1 << h.node_count) - 1))
+    return h, live
+
+
+class TestCliqueCoverBound:
+    @pytest.mark.parametrize(
+        "n,p", [(20, 0.3), (60, 0.1), (60, 0.5), (150, 0.05), (400, 0.01), (400, 0.4)]
+    )
+    def test_matches_reference(self, n, p):
+        rng = random.Random(n * 1000 + int(p * 100))
+        h = build_doubled_graph(gnp(n, p, seed=n, weights=(1, 100))).graph
+        masks, weights = h.neighbor_masks(), h.weights
+        full = (1 << h.node_count) - 1
+        lives = [0, full]
+        for keep in (0.1, 0.5, 0.9):
+            for _ in range(4):
+                kept = [v for v in range(h.node_count) if rng.random() < keep]
+                lives.append(sum(1 << v for v in kept))
+        for live in lives:
+            expected = _reference_clique_cover_bound(live, masks, weights)
+            assert _clique_cover_bound(live, masks, weights) == expected
+
+    @given(doubled_graphs_with_live_masks())
+    @settings(deadline=None, max_examples=150)
+    def test_bounds_the_live_optimum(self, case):
+        h, live = case
+        members = [v for v in range(h.node_count) if live >> v & 1]
+        optimum = mwis_bruteforce(induced_subgraph(h, members)[0]).weight
+        assert _clique_cover_bound(live, h.neighbor_masks(), h.weights) >= optimum
 
 
 class TestMwisGreedy:
@@ -287,6 +346,41 @@ class TestGreedyOrderHighDegree:
         weights = [hub] + [rng.randint(*leaf_weights) for _ in range(leaves)]
         g = from_edge_list(leaves + 1, edges, weights)
         _assert_greedy_matches_reference(g, _positive_mask(g.weights))
+
+
+class _JumpClock:
+    """Stand-in for the solvers module's ``time``: reads 0 s once, then 10 s."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def perf_counter(self):
+        self.reads += 1
+        return 0.0 if self.reads == 1 else 10.0
+
+
+class TestGreedyDeadline:
+    def test_exact_engine_greedy_stops_at_deadline(self, monkeypatch):
+        g = build_doubled_graph(gnp(400, 0.01, seed=25, weights=(1, 100))).graph
+        full = _greedy_order(g.neighbor_masks(), g.weights, _positive_mask(g.weights))
+        assert len(full) > 256
+        # the engine reads the clock at its start and sets the deadline 1 s
+        # later; the greedy's first reading, after 256 picks, is 10 s
+        monkeypatch.setattr(solvers, "time", _JumpClock())
+        result = mwis_exact(g, SolverLimits(time_budget_s=1))
+        assert not result.optimal
+        assert result.solution == frozenset(full[:256])
+        assert result.weight == set_weight(g, full[:256])
+        assert result.stats.search_nodes == 0
+
+    def test_deadline_not_reached_keeps_the_order(self, monkeypatch):
+        g = build_doubled_graph(gnp(400, 0.01, seed=25, weights=(1, 100))).graph
+        masks, weights, mask = g.neighbor_masks(), g.weights, _positive_mask(g.weights)
+        full = _greedy_order(masks, weights, mask)
+        clock = _JumpClock()
+        monkeypatch.setattr(solvers, "time", clock)
+        assert _greedy_order(masks, weights, mask, deadline=20.0) == full
+        assert clock.reads == len(full) // 256
 
 
 def _no_improving_move(g, solution):
@@ -438,6 +532,31 @@ class TestPinnedOutputs:
             domination = result.stats.reductions["domination"]
             assert (result.weight, result.stats.search_nodes, domination) == expected
             assert set_weight(h, result.solution) == result.weight
+
+    @pytest.mark.parametrize(
+        "case,digest,doubled_digest",
+        [
+            ((30, 0.2, 21, (1, 100)), "572c1cee36f6ce35", "581e1f4fcb03e642"),
+            ((36, 0.1, 22, (1, 100)), "77699da3a8f50f33", "c7442582bcba34b5"),
+            ((28, 0.3, 23, (0, 5)), "d47fe5a088cabea1", "250b0e9b9af21d3f"),
+            ((40, 0.15, 24, (1, 100)), "79fc80eeeae0964a", "a844d48d9a0bf58b"),
+        ],
+    )
+    def test_exact_solution(self, case, digest, doubled_digest):
+        # among equal-weight optima the search order picks one; pin which
+        n, p, seed, weights = case
+        g = gnp(n, p, seed=seed, weights=weights)
+        h = build_doubled_graph(g).graph
+        assert _digest(mwis_exact(g).solution) == digest
+        assert _digest(mwis_exact(h).solution) == doubled_digest
+
+    def test_exact_budgeted(self):
+        g = build_doubled_graph(gnp(400, 0.01, seed=25, weights=(1, 100))).graph
+        result = mwis_exact(g, SolverLimits(node_budget=20))
+        domination = result.stats.reductions["domination"]
+        assert not result.optimal
+        assert (result.weight, result.stats.search_nodes, domination) == (17196, 20, 54)
+        assert _digest(result.solution) == "546eb28a96cdd949"
 
 
 class TestInducedBipartiteBruteforce:
