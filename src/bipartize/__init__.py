@@ -4,7 +4,7 @@ The core idea: double the input graph (two copies joined by a perfect
 matching), find a maximum-weight independent set there, and map it back to
 a maximum-weight node set inducing a bipartite subgraph.  The package
 bundles the construction, exact and heuristic independent-set engines,
-exhaustive oracles for cross-validation, file formats, generators, and a
+an exhaustive oracle for cross-validation, file formats, generators, and a
 CLI.
 """
 
@@ -34,7 +34,6 @@ from .solvers import (
     SolveResult,
     SolverLimits,
     induced_bipartite_bruteforce,
-    mwis_bruteforce,
     mwis_exact,
     mwis_greedy,
     mwis_local_search,
@@ -58,7 +57,6 @@ __all__ = [
     "is_independent_set",
     "lift_independent_set",
     "max_degree",
-    "mwis_bruteforce",
     "mwis_exact",
     "mwis_greedy",
     "mwis_local_search",

@@ -14,9 +14,6 @@ from typing import Iterable, Iterator, Union
 
 MAX_WEIGHT = 2**32 - 1
 
-# Node subsets are passed around as plain sets/frozensets of indices.
-NodeSet = frozenset[int]
-
 
 @dataclass(frozen=True)
 class WeightedGraph:

@@ -1,8 +1,7 @@
 """Independent-set engines and the direct bipartite-subgraph oracle.
 
-Four maximum-weight independent set engines with different guarantees:
+Three maximum-weight independent set engines with different guarantees:
 
-* :func:`mwis_bruteforce` — exhaustive oracle with a hard size guard.
 * :func:`mwis_exact` — branch-and-reduce, optimal unless a budget runs out.
 * :func:`mwis_greedy` — weight/(degree+1) greedy, no optimality claim.
 * :func:`mwis_local_search` — add-moves and (1,2)-swaps to a local optimum.
@@ -13,7 +12,7 @@ the doubled-graph pipeline end to end.
 
 All engines treat zero-weight nodes as never worth selecting: they cannot
 change the objective, and dropping them keeps returned solutions canonical.
-Tie-breaking is by lexicographically smallest member list for the oracles
+Tie-breaking is by lexicographically smallest member list for the oracle
 and by fixed deterministic scan order everywhere else; no engine uses
 randomness or floating point.
 """
@@ -33,26 +32,26 @@ from .graph import (
 )
 from .reduction import BipartiteSolution
 
-DEFAULT_MWIS_BRUTEFORCE_NODES = 25
 DEFAULT_BIPARTITE_BRUTEFORCE_NODES = 20
 
 
 class LimitExceededError(ValueError):
-    """Raised when a brute-force engine refuses an oversized instance."""
+    """Raised when the brute-force oracle refuses an oversized instance."""
 
 
 @dataclass(frozen=True)
 class SolverLimits:
-    """Resource limits; ``None`` means the engine default / unlimited."""
+    """Search budgets for the exact engine; ``None`` means unlimited."""
 
-    max_nodes_for_bruteforce: int | None = None
     node_budget: int | None = None
     time_budget_s: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("max_nodes_for_bruteforce", "node_budget", "time_budget_s"):
+        for name in ("node_budget", "time_budget_s"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            # ``not value > 0`` also rejects NaN, which compares false to
+            # everything and would make the deadline unreachable
+            if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
 
 
@@ -86,179 +85,6 @@ def _positive_mask(weights) -> int:
         if w > 0:
             mask |= 1 << v
     return mask
-
-
-def _bruteforce_cap(limits: SolverLimits | None, default: int) -> int:
-    if limits is not None and limits.max_nodes_for_bruteforce is not None:
-        return limits.max_nodes_for_bruteforce
-    return default
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive oracle
-
-
-def mwis_bruteforce(
-    g: WeightedGraph, limits: SolverLimits | None = None
-) -> SolveResult:
-    """Exact maximum-weight independent set by exhausting all subsets.
-
-    Every subset of nodes is accounted for: the optimum value comes from a
-    split-and-merge sweep over all subsets of each half of the node list,
-    and the returned set is the lexicographically smallest optimum,
-    recovered by a first-hit scan in ascending-index order.  Refuses graphs
-    above the node cap (default 25) rather than approximating.
-    """
-    cap = _bruteforce_cap(limits, DEFAULT_MWIS_BRUTEFORCE_NODES)
-    if g.node_count > cap:
-        raise LimitExceededError(
-            f"brute force refused: {g.node_count} nodes exceeds the cap of {cap}"
-        )
-    start = time.perf_counter()
-    masks = g.neighbor_masks()
-    weights = g.weights
-    universe = [v for v in range(g.node_count) if weights[v] > 0]
-    table = _HalfTable(universe, masks, weights)
-    optimum, states = table.optimum()
-    if optimum == 0:
-        solution: frozenset[int] = frozenset()
-    else:
-        chosen, lex_states = _lex_smallest_optimum(
-            universe, masks, weights, optimum, table
-        )
-        states += lex_states
-        solution = frozenset(_bits(chosen))
-    stats = SearchStats(search_nodes=states)
-    stats.elapsed_s = time.perf_counter() - start
-    return SolveResult(solution, optimum, True, stats)
-
-
-class _HalfTable:
-    """Best independent-set weight inside every subset of the low half.
-
-    Splitting the candidate nodes into halves keeps both the table and the
-    sweep over the high half at 2^(n/2) entries, while still covering every
-    one of the 2^n subsets: each subset is the disjoint union of its low
-    and high parts, and the table answers the low part exactly.
-    """
-
-    def __init__(self, universe: list[int], masks: list[int], weights):
-        self.universe = universe
-        half = (len(universe) + 1) // 2
-        self.left = universe[:half]
-        self.right = universe[half:]
-        self.left_pos = {v: i for i, v in enumerate(self.left)}
-        self.weights = weights
-        self.masks = masks
-        # closed neighborhoods within the left block, in compressed bits
-        self._left_closed = []
-        for i, v in enumerate(self.left):
-            m = 1 << i
-            for j, u in enumerate(self.left):
-                if masks[v] >> u & 1:
-                    m |= 1 << j
-            self._left_closed.append(m)
-        size = 1 << len(self.left)
-        f = [0] * size
-        lw = [weights[v] for v in self.left]
-        closed = self._left_closed
-        for s in range(1, size):
-            i = (s & -s).bit_length() - 1
-            skip = f[s & (s - 1)]
-            take = lw[i] + f[s & ~closed[i]]
-            f[s] = take if take > skip else skip
-        self.f = f
-        # for each right node: forbidden left bits, and right-block adjacency
-        self._cross = []
-        self._right_adj = []
-        for v in self.right:
-            cm = 0
-            for i, u in enumerate(self.left):
-                if masks[v] >> u & 1:
-                    cm |= 1 << i
-            self._cross.append(cm)
-            rm = 0
-            for b, u in enumerate(self.right):
-                if masks[v] >> u & 1:
-                    rm |= 1 << b
-            self._right_adj.append(rm)
-
-    def optimum(self) -> tuple[int, int]:
-        full = (1 << len(self.left)) - 1
-        best = self.f[full]
-        states = 1 << len(self.left)
-        rw = [self.weights[v] for v in self.right]
-        cross, right_adj, f = self._cross, self._right_adj, self.f
-        count = len(self.right)
-
-        def sweep(idx: int, wt: int, allowed_left: int, cand: int) -> None:
-            nonlocal best, states
-            for i in range(idx, count):
-                if cand >> i & 1:
-                    states += 1
-                    new_wt = wt + rw[i]
-                    new_left = allowed_left & ~cross[i]
-                    value = new_wt + f[new_left]
-                    if value > best:
-                        best = value
-                    sweep(i + 1, new_wt, new_left, cand & ~right_adj[i] & ~(1 << i))
-
-        sweep(0, 0, full, (1 << count) - 1)
-        return best, states
-
-    def upper_bound(self, cand_mask: int) -> int:
-        """Weight bound for any independent set inside ``cand_mask``."""
-        lc = 0
-        for i, v in enumerate(self.left):
-            if cand_mask >> v & 1:
-                lc |= 1 << i
-        bound = self.f[lc]
-        for v in self.right:
-            if cand_mask >> v & 1:
-                bound += self.weights[v]
-        return bound
-
-
-def _lex_smallest_optimum(
-    universe: list[int],
-    masks: list[int],
-    weights,
-    optimum: int,
-    table: _HalfTable,
-) -> tuple[int, int]:
-    # Ascending include-first scan: the first set reaching the optimum is
-    # the lexicographically smallest one, because every candidate node has
-    # positive weight.  Branches that provably cannot reach the optimum
-    # are skipped via the half-table bound.
-    states = 0
-
-    def walk(i: int, cur: int, cand: int, chosen: int) -> int | None:
-        nonlocal states
-        states += 1
-        if cur == optimum:
-            return chosen
-        if i == len(universe):
-            return None
-        v = universe[i]
-        bit = 1 << v
-        if cand & bit:
-            taken_cand = cand & ~masks[v] & ~bit
-            if cur + weights[v] + table.upper_bound(taken_cand) >= optimum:
-                found = walk(i + 1, cur + weights[v], taken_cand, chosen | bit)
-                if found is not None:
-                    return found
-            cand &= ~bit
-        if cur + table.upper_bound(cand) >= optimum:
-            return walk(i + 1, cur, cand, chosen)
-        return None
-
-    start_mask = 0
-    for v in universe:
-        start_mask |= 1 << v
-    chosen = walk(0, 0, start_mask, 0)
-    if chosen is None:
-        raise AssertionError("optimum reconstruction failed")
-    return chosen, states
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +439,7 @@ def _find_move(
 # Direct bipartite-subgraph oracle
 
 
-def induced_bipartite_bruteforce(
-    g: WeightedGraph, limits: SolverLimits | None = None
-) -> BipartiteSolution:
+def induced_bipartite_bruteforce(g: WeightedGraph) -> BipartiteSolution:
     """Exact maximum-weight node set inducing a bipartite subgraph.
 
     Works straight from the definition in two exhaustive passes.  The
@@ -627,12 +451,12 @@ def induced_bipartite_bruteforce(
     value, found by an ascending include-first scan over node sets with an
     incremental 2-colorability check.  The witness bipartition is
     recomputed by 2-coloring the induced subgraph.  Refuses graphs above
-    the node cap (default 20).
+    the node cap of 20.
     """
-    cap = _bruteforce_cap(limits, DEFAULT_BIPARTITE_BRUTEFORCE_NODES)
-    if g.node_count > cap:
+    if g.node_count > DEFAULT_BIPARTITE_BRUTEFORCE_NODES:
         raise LimitExceededError(
-            f"brute force refused: {g.node_count} nodes exceeds the cap of {cap}"
+            f"brute force refused: {g.node_count} nodes exceeds the cap of "
+            f"{DEFAULT_BIPARTITE_BRUTEFORCE_NODES}"
         )
     masks = g.neighbor_masks()
     weights = g.weights

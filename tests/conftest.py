@@ -2,16 +2,23 @@
 
 The literal oracles here enumerate subsets with itertools and check each
 candidate with the structural predicates only; they share no code with the
-engines they validate.
+engines they validate.  :func:`mwis_bruteforce` is the fast exhaustive
+oracle for independent sets up to 25 nodes, for doubled graphs too large
+for plain enumeration; the literal oracle checks it, and it borrows only
+the package's bit-listing helper ``_bits``.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 
 from bipartize import (
+    LimitExceededError,
+    SearchStats,
+    SolveResult,
     WeightedGraph,
     from_edge_list,
     induced_subgraph,
@@ -19,6 +26,7 @@ from bipartize import (
     is_independent_set,
     set_weight,
 )
+from bipartize.solvers import _bits
 
 
 def cycle_graph(n: int, weights=None) -> WeightedGraph:
@@ -75,6 +83,168 @@ def literal_induced_bipartite(g: WeightedGraph) -> tuple[int, list[int]]:
             if w > best_w or (w == best_w and list(combo) < best_set):
                 best_w, best_set = w, list(combo)
     return best_w, best_set
+
+
+def mwis_bruteforce(g: WeightedGraph, *, max_nodes: int = 25) -> SolveResult:
+    """Exact maximum-weight independent set by exhausting all subsets.
+
+    Every subset of nodes is accounted for: the optimum value comes from a
+    split-and-merge sweep over all subsets of each half of the node list,
+    and the returned set is the lexicographically smallest optimum,
+    recovered by a first-hit scan in ascending-index order.  Refuses graphs
+    above ``max_nodes`` rather than approximating.
+    """
+    if g.node_count > max_nodes:
+        raise LimitExceededError(
+            f"brute force refused: {g.node_count} nodes exceeds the cap of "
+            f"{max_nodes}"
+        )
+    start = time.perf_counter()
+    masks = g.neighbor_masks()
+    weights = g.weights
+    universe = [v for v in range(g.node_count) if weights[v] > 0]
+    table = _HalfTable(universe, masks, weights)
+    optimum, states = table.optimum()
+    if optimum == 0:
+        solution: frozenset[int] = frozenset()
+    else:
+        chosen, lex_states = _lex_smallest_optimum(
+            universe, masks, weights, optimum, table
+        )
+        states += lex_states
+        solution = frozenset(_bits(chosen))
+    stats = SearchStats(search_nodes=states)
+    stats.elapsed_s = time.perf_counter() - start
+    return SolveResult(solution, optimum, True, stats)
+
+
+class _HalfTable:
+    """Best independent-set weight inside every subset of the low half.
+
+    Splitting the candidate nodes into halves keeps both the table and the
+    sweep over the high half at 2^(n/2) entries, while still covering every
+    one of the 2^n subsets: each subset is the disjoint union of its low
+    and high parts, and the table answers the low part exactly.
+    """
+
+    def __init__(self, universe: list[int], masks: list[int], weights):
+        self.universe = universe
+        half = (len(universe) + 1) // 2
+        self.left = universe[:half]
+        self.right = universe[half:]
+        self.left_pos = {v: i for i, v in enumerate(self.left)}
+        self.weights = weights
+        self.masks = masks
+        # closed neighborhoods within the left block, in compressed bits
+        self._left_closed = []
+        for i, v in enumerate(self.left):
+            m = 1 << i
+            for j, u in enumerate(self.left):
+                if masks[v] >> u & 1:
+                    m |= 1 << j
+            self._left_closed.append(m)
+        size = 1 << len(self.left)
+        f = [0] * size
+        lw = [weights[v] for v in self.left]
+        closed = self._left_closed
+        for s in range(1, size):
+            i = (s & -s).bit_length() - 1
+            skip = f[s & (s - 1)]
+            take = lw[i] + f[s & ~closed[i]]
+            f[s] = take if take > skip else skip
+        self.f = f
+        # for each right node: forbidden left bits, and right-block adjacency
+        self._cross = []
+        self._right_adj = []
+        for v in self.right:
+            cm = 0
+            for i, u in enumerate(self.left):
+                if masks[v] >> u & 1:
+                    cm |= 1 << i
+            self._cross.append(cm)
+            rm = 0
+            for b, u in enumerate(self.right):
+                if masks[v] >> u & 1:
+                    rm |= 1 << b
+            self._right_adj.append(rm)
+
+    def optimum(self) -> tuple[int, int]:
+        full = (1 << len(self.left)) - 1
+        best = self.f[full]
+        states = 1 << len(self.left)
+        rw = [self.weights[v] for v in self.right]
+        cross, right_adj, f = self._cross, self._right_adj, self.f
+        count = len(self.right)
+
+        def sweep(idx: int, wt: int, allowed_left: int, cand: int) -> None:
+            nonlocal best, states
+            for i in range(idx, count):
+                if cand >> i & 1:
+                    states += 1
+                    new_wt = wt + rw[i]
+                    new_left = allowed_left & ~cross[i]
+                    value = new_wt + f[new_left]
+                    if value > best:
+                        best = value
+                    sweep(i + 1, new_wt, new_left, cand & ~right_adj[i] & ~(1 << i))
+
+        sweep(0, 0, full, (1 << count) - 1)
+        return best, states
+
+    def upper_bound(self, cand_mask: int) -> int:
+        """Weight bound for any independent set inside ``cand_mask``."""
+        lc = 0
+        for i, v in enumerate(self.left):
+            if cand_mask >> v & 1:
+                lc |= 1 << i
+        bound = self.f[lc]
+        for v in self.right:
+            if cand_mask >> v & 1:
+                bound += self.weights[v]
+        return bound
+
+
+def _lex_smallest_optimum(
+    universe: list[int],
+    masks: list[int],
+    weights,
+    optimum: int,
+    table: _HalfTable,
+) -> tuple[int, int]:
+    # Ascending include-first scan: the first set reaching the optimum is
+    # the lexicographically smallest one, because every candidate node has
+    # positive weight.  Branches that provably cannot reach the optimum
+    # are skipped via the half-table bound.
+    states = 0
+
+    def walk(i: int, cur: int, cand: int, chosen: int) -> int | None:
+        nonlocal states
+        states += 1
+        if cur == optimum:
+            return chosen
+        if i == len(universe):
+            return None
+        v = universe[i]
+        bit = 1 << v
+        if cand & bit:
+            taken_cand = cand & ~masks[v] & ~bit
+            if cur + weights[v] + table.upper_bound(taken_cand) >= optimum:
+                found = walk(i + 1, cur + weights[v], taken_cand, chosen | bit)
+                if found is not None:
+                    return found
+            cand &= ~bit
+        if cur + table.upper_bound(cand) >= optimum:
+            return walk(i + 1, cur, cand, chosen)
+        return None
+
+    start_mask = 0
+    for v in universe:
+        start_mask |= 1 << v
+    chosen = walk(0, 0, start_mask, 0)
+    if chosen is None:
+        raise AssertionError("optimum reconstruction failed")
+    return chosen, states
+
 
 
 @pytest.fixture(scope="session")

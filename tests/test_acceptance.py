@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 from bipartize import (
-    SolverLimits,
     build_doubled_graph,
     check_solution,
     from_edge_list,
@@ -23,7 +22,6 @@ from bipartize import (
     is_independent_set,
     lift_independent_set,
     max_degree,
-    mwis_bruteforce,
     mwis_exact,
     mwis_greedy,
     oct_weight,
@@ -37,9 +35,8 @@ from bipartize.cli import main
 from bipartize.dimacs import write_instance
 from bipartize.generate import gnp
 
+from .conftest import mwis_bruteforce
 from .test_reduction import _random_bipartite_solution, _random_independent_set
-
-DOUBLED_ORACLE_LIMITS = SolverLimits(max_nodes_for_bruteforce=28)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +140,7 @@ def test_c2_equivalence_randomized(random_corpus):
     started = time.perf_counter()
     for gid, g in random_corpus:
         doubled = build_doubled_graph(g)
-        via_doubling = mwis_bruteforce(doubled.graph, DOUBLED_ORACLE_LIMITS).weight
+        via_doubling = mwis_bruteforce(doubled.graph, max_nodes=28).weight
         assert via_doubling == _direct_optimum(gid, g), gid
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -105,6 +106,18 @@ class TestSolve:
         assert code == 0
         assert payload["weight"] == 4
         assert payload["nodes"] == [1, 2, 3, 4]
+        # the full output on a generated instance, byte for byte: it pins the
+        # oracle's lexicographic tie-break and its witness bipartition (the
+        # bruteforce stats are all zero, so the bytes are deterministic)
+        path = c5_file.parent / "g14.col"
+        args = ["gen", "gnp", "--nodes", "14", "--prob", "0.4", "--seed", "3"]
+        assert main([*args, "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(path), "--engine", "bruteforce", "--json"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "87bd3f3ddd5e3925de75f23168ecec078ea373d3d394c7f6bd832616d7d93dee"
+        )
 
     def test_bruteforce_oversized_is_usage_error(self, capsys, tmp_path):
         big = tmp_path / "big.col"

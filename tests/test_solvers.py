@@ -16,7 +16,6 @@ from bipartize import (
     induced_bipartite_bruteforce,
     induced_subgraph,
     is_independent_set,
-    mwis_bruteforce,
     mwis_exact,
     mwis_greedy,
     mwis_local_search,
@@ -33,6 +32,7 @@ from .conftest import (
     edgeless_graph,
     literal_mwis,
     literal_induced_bipartite,
+    mwis_bruteforce,
     star_graph,
 )
 
@@ -51,9 +51,9 @@ class TestSolverLimits:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_nodes_for_bruteforce": 0},
             {"node_budget": -1},
             {"time_budget_s": 0},
+            {"time_budget_s": float("nan")},
         ],
     )
     def test_rejects_nonpositive_budgets(self, kwargs):
@@ -89,7 +89,7 @@ class TestMwisBruteforce:
         with pytest.raises(LimitExceededError, match="26 nodes"):
             mwis_bruteforce(g)
         # a raised cap admits the same instance
-        result = mwis_bruteforce(g, SolverLimits(max_nodes_for_bruteforce=26))
+        result = mwis_bruteforce(g, max_nodes=26)
         assert result.weight == 26
 
     @pytest.mark.parametrize("seed", range(25))
