@@ -105,6 +105,24 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     comes from the greedy, which also stops at the time budget.  With a
     node or time budget the search may stop early; the result is then the
     best solution found, flagged ``optimal=False``.
+
+    Mirror rule.  When the swap s of the halves, v <-> v + n/2, maps the
+    graph onto itself with equal weights (as on every doubled graph, where
+    it swaps the two layers and so the two sides of the bipartition), each
+    solution has a mirror image of the same weight, and the search proves
+    only one of the two.  At a branch on v whose live set M has s(M) = M,
+    the exclude child also drops v's twin t = s(v).  This loses no weight.
+    The take-v child has been searched in full before the exclude child
+    starts (on a budget stop the search returns at once), so the incumbent
+    already weighs at least as much as the nodes taken so far plus any
+    independent set inside M that holds v.  Let S be an independent set
+    inside M that holds t but not v.  Its mirror image s(S) lies inside
+    s(M) = M, is independent, holds s(t) = v and weighs the same as S; no
+    live node is adjacent to a node taken so far, so s(S) completes them
+    to a solution, one the incumbent already matches.  So the exclude
+    child need only search M minus {v, t}, and it re-examines the
+    neighbors of both for domination.  ``stats.reductions["mirror"]``
+    counts these twin exclusions.
     """
     limits = limits or SolverLimits()
     search = _BranchAndReduce(g, limits)
@@ -117,8 +135,11 @@ class _BranchAndReduce:
         self.weights = g.weights
         self.masks = g.neighbor_masks()
         self.closed = [self.masks[v] | (1 << v) for v in range(self.n)]
+        self.half = _swap_half(g)
         self.limits = limits
-        self.stats = SearchStats(reductions={"domination": 0, "zero_weight": 0})
+        self.stats = SearchStats(
+            reductions={"domination": 0, "zero_weight": 0, "mirror": 0}
+        )
         self.exhausted = False
         self.best_weight = 0
         self.best_mask = 0
@@ -212,7 +233,31 @@ class _BranchAndReduce:
         )
         if self.exhausted:
             return
-        self._search(mask & ~(1 << v), masks[v], current, chosen)
+        dropped, dirty = 1 << v, masks[v]
+        h = self.half
+        if h and mask >> h == mask & ((1 << h) - 1):
+            # the mirror rule: t's solutions mirror v's, searched just now
+            t = v + h if v < h else v - h
+            dropped |= 1 << t
+            dirty |= masks[t]
+            self.stats.reductions["mirror"] += 1
+        self._search(mask & ~dropped, dirty, current, chosen)
+
+
+def _swap_half(g: WeightedGraph) -> int:
+    """n/2 when swapping the halves, v <-> v + n/2, maps ``g`` onto itself
+    with equal weights; else 0.  One pass over the adjacency: the swap is
+    an involution on an undirected graph, so checking the low half's
+    nodes, their weights and their neighbor sets covers every edge."""
+    n, adjacency, weights = g.node_count, g.adjacency, g.weights
+    h = n // 2
+    if n % 2 or weights[:h] != weights[h:]:
+        return 0
+    twin = [*range(h, n), *range(h)].__getitem__
+    for v in range(h):
+        if set(map(twin, adjacency[v])) != set(adjacency[v + h]):
+            return 0
+    return h
 
 
 def _neighborhood(nodes: int, masks: list[int]) -> int:

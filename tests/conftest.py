@@ -128,13 +128,10 @@ class _HalfTable:
     """
 
     def __init__(self, universe: list[int], masks: list[int], weights):
-        self.universe = universe
         half = (len(universe) + 1) // 2
         self.left = universe[:half]
         self.right = universe[half:]
-        self.left_pos = {v: i for i, v in enumerate(self.left)}
         self.weights = weights
-        self.masks = masks
         # closed neighborhoods within the left block, in compressed bits
         self._left_closed = []
         for i, v in enumerate(self.left):

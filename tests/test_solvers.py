@@ -24,7 +24,12 @@ from bipartize import (
 )
 from bipartize.generate import gnp
 from bipartize.graph import MAX_WEIGHT
-from bipartize.solvers import _clique_cover_bound, _greedy_order, _positive_mask
+from bipartize.solvers import (
+    _bits,
+    _clique_cover_bound,
+    _greedy_order,
+    _positive_mask,
+)
 
 from .conftest import (
     complete_graph,
@@ -149,6 +154,122 @@ class TestMwisExact:
         assert first.solution == second.solution
         assert first.stats.search_nodes == second.stats.search_nodes
         assert first.stats.reductions == second.stats.reductions
+
+
+def _disjoint_copies(g):
+    """g and a copy of g on nodes n..2n-1, with no edge between them."""
+    n = g.node_count
+    edges = list(g.edges()) + [(u + n, v + n) for u, v in g.edges()]
+    return from_edge_list(2 * n, edges, g.weights + g.weights)
+
+
+def _broken_swap(h, rng):
+    """``h`` with the half swap broken by one added edge or one weight."""
+    half = h.node_count // 2
+    edges = list(h.edges())
+    missing = [
+        (u, x)
+        for u in range(h.node_count)
+        for x in range(u + 1, h.node_count)
+        if x != u + half and x not in h.adjacency[u]
+    ]
+    weights = list(h.weights)
+    if missing and rng.random() < 0.5:
+        edges.append(rng.choice(missing))
+    else:
+        weights[rng.randrange(h.node_count)] += 1
+    return from_edge_list(h.node_count, edges, weights)
+
+
+def _swap_instance(seed, kind):
+    """A seeded graph of at most 24 nodes: ``doubled``, two disjoint
+    ``copies`` of one graph, or a doubled graph whose swap is ``broken``."""
+    g = _random_instance(seed + 3000, max_n=12, zero_weights=seed % 4 == 0)
+    if kind == "copies":
+        return _disjoint_copies(g)
+    h = build_doubled_graph(g).graph
+    if kind == "broken" and h.node_count:
+        return _broken_swap(h, random.Random(seed))
+    return h
+
+
+class TestLayerSwap:
+    """The mirror rule of the exact engine and the swap check behind it."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_detects_doubled_and_disjoint_copies(self, seed):
+        g = _random_instance(seed + 3000, max_n=12)
+        n = g.node_count
+        assert solvers._swap_half(build_doubled_graph(g).graph) == n
+        assert solvers._swap_half(_disjoint_copies(g)) == n
+
+    def test_one_weight_breaks_the_swap(self):
+        h = build_doubled_graph(gnp(8, 0.3, seed=5, weights=(1, 20))).graph
+        edges = list(h.edges())
+        for v in range(h.node_count):
+            weights = list(h.weights)
+            weights[v] += 1
+            broken = from_edge_list(h.node_count, edges, weights)
+            assert solvers._swap_half(broken) == 0
+
+    def test_one_edge_breaks_the_swap(self):
+        g = gnp(8, 0.3, seed=5, weights=(1, 20))
+        h = build_doubled_graph(g).graph
+        half = g.node_count
+        edges = list(h.edges())
+        for u in range(h.node_count):
+            for x in range(u + 1, h.node_count):
+                if x in h.adjacency[u]:
+                    continue
+                # an edge {u, twin of u} is its own image under the swap
+                expected = half if x == u + half else 0
+                grown = from_edge_list(h.node_count, edges + [(u, x)], h.weights)
+                assert solvers._swap_half(grown) == expected
+        for edge in edges:
+            u, x = edge
+            shrunk = [e for e in edges if e != edge]
+            expected = half if x == u + half else 0
+            cut = from_edge_list(h.node_count, shrunk, h.weights)
+            assert solvers._swap_half(cut) == expected
+
+    def test_odd_node_count(self):
+        assert solvers._swap_half(edgeless_graph(5)) == 0
+
+    @pytest.mark.parametrize("kind", ["doubled", "copies", "broken"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_bruteforce(self, kind, seed):
+        h = _swap_instance(seed, kind)
+        assert h.node_count <= 24
+        result = mwis_exact(h)
+        assert result.weight == mwis_bruteforce(h).weight
+        assert result.optimal
+        assert is_independent_set(h, result.solution)
+        assert set_weight(h, result.solution) == result.weight
+
+    @pytest.mark.parametrize("kind", ["doubled", "copies"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_no_dominating_node_at_a_branch(self, monkeypatch, kind, seed):
+        # the exclude child's dirty set must cover both removed twins, or a
+        # node that dominates after the twin's removal goes unseen
+        branch_node = solvers._branch_node
+
+        def checked(mask, masks, weights):
+            for v in _bits(mask):
+                total = sum(weights[u] for u in _bits(masks[v] & mask))
+                assert total > weights[v], f"node {v} dominates at a branch"
+            return branch_node(mask, masks, weights)
+
+        monkeypatch.setattr(solvers, "_branch_node", checked)
+        mwis_exact(_swap_instance(seed, kind))
+
+    def test_rule_fires_only_on_swap_symmetric_graphs(self):
+        g = gnp(12, 0.3, seed=7, weights=(1, 50))
+        h = build_doubled_graph(g).graph
+        assert mwis_exact(h).stats.reductions["mirror"] > 0
+        assert mwis_exact(_disjoint_copies(g)).stats.reductions["mirror"] > 0
+        assert mwis_exact(g).stats.reductions["mirror"] == 0
+        broken = _broken_swap(h, random.Random(7))
+        assert mwis_exact(broken).stats.reductions["mirror"] == 0
 
 
 def _reference_clique_cover_bound(mask, masks, weights):
@@ -515,9 +636,9 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize(
         "case,weight,search_nodes,domination,doubled",
         [
-            ((30, 0.2, 21, (1, 100)), 689, 63, 109, (1278, 1069, 2230)),
-            ((36, 0.1, 22, (1, 100)), 998, 7, 24, (1548, 631, 1980)),
-            ((28, 0.3, 23, (0, 5)), 25, 29, 37, (48, 243, 465)),
+            ((30, 0.2, 21, (1, 100)), 689, 63, 109, (1278, 573, 1131)),
+            ((36, 0.1, 22, (1, 100)), 998, 7, 24, (1548, 333, 1028)),
+            ((28, 0.3, 23, (0, 5)), 25, 29, 37, (48, 119, 212)),
             ((40, 0.15, 24, (1, 100)), 779, 103, 226, None),
         ],
     )
