@@ -160,7 +160,8 @@ def parse_solution(text: str) -> tuple[BipartiteSolution, bool]:
     """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # json's decoder recurses once per nesting level
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError("solution must be a JSON object")

@@ -156,7 +156,7 @@ class _BranchAndReduce:
         for v in _greedy_order(self.masks, self.weights, alive, self.deadline):
             self.best_mask |= 1 << v
             self.best_weight += self.weights[v]
-        self._search(alive, alive, 0, 0)
+        self._search(alive)
         self.stats.elapsed_s = time.perf_counter() - start
         return SolveResult(
             frozenset(_bits(self.best_mask)),
@@ -175,73 +175,79 @@ class _BranchAndReduce:
             return True
         return False
 
-    def _search(self, mask: int, dirty: int, current: int, chosen: int) -> None:
-        """Search the live nodes ``mask``, of which only ``dirty`` may dominate.
+    def _search(self, alive: int) -> None:
+        """Search the live nodes ``alive``, depth first, without recursion.
 
-        Invariant: a live node outside ``dirty`` was found not to dominate,
-        and none of its neighbors has been removed since, so it still does
-        not.  The root passes every node; a child passes the neighbors of
-        the nodes its branch removed.  The fixpoint examines the lowest
-        dirty node: the dirty nodes below it were found not to dominate and
-        the clean ones are known not to, so when it dominates it is the
-        lowest dominating node, the one a scan of every live node would
-        take.  A take removes its closed neighborhood and makes that
+        The pending search nodes wait on an explicit stack, so the depth is
+        not bound by Python's recursion limit.  Each entry is a live mask,
+        the part of it that may dominate, the weight and mask of the nodes
+        taken so far, and whether its branch dropped a mirror twin.  A
+        branch pushes its exclude child below its take child, so the take
+        child's whole subtree is searched before the exclude child starts,
+        as the mirror rule needs.  A twin exclusion counts when its child is
+        popped, just before the budget check.
+
+        Invariant: a live node outside the dirty part was found not to
+        dominate, and none of its neighbors has been removed since, so it
+        still does not.  The root passes every node; a child passes the
+        neighbors of the nodes its branch removed.  The fixpoint examines
+        the lowest dirty node: the dirty nodes below it were found not to
+        dominate and the clean ones are known not to, so when it dominates
+        it is the lowest dominating node, the one a scan of every live node
+        would take.  A take removes its closed neighborhood and makes that
         neighborhood's neighbors dirty again.
         """
-        if self.exhausted:
-            return
-        if self._over_budget():
-            self.exhausted = True
-            return
-        self.stats.search_nodes += 1
         weights, masks, closed = self.weights, self.masks, self.closed
-        # domination to fixpoint: take v when w(v) covers its whole
-        # remaining neighborhood (isolated nodes always qualify)
-        dirty &= mask
-        while dirty:
-            low = dirty & -dirty
-            v = low.bit_length() - 1
-            dirty ^= low
-            wv = weights[v]
-            total = 0
-            nb = masks[v] & mask
-            while nb and total <= wv:
-                nlow = nb & -nb
-                total += weights[nlow.bit_length() - 1]
-                nb ^= nlow
-            if total <= wv:
-                removed = closed[v] & mask
-                mask ^= removed
-                dirty = (dirty | _neighborhood(removed, masks)) & mask
-                chosen |= low
-                current += wv
-                self.stats.reductions["domination"] += 1
-        if not mask:
-            if current > self.best_weight:
-                self.best_weight = current
-                self.best_mask = chosen
-            return
-        if current + _clique_cover_bound(mask, masks, weights) <= self.best_weight:
-            return
-        v = _branch_node(mask, masks, weights)
-        removed = closed[v] & mask
-        self._search(
-            mask ^ removed,
-            _neighborhood(removed, masks),
-            current + weights[v],
-            chosen | (1 << v),
-        )
-        if self.exhausted:
-            return
-        dropped, dirty = 1 << v, masks[v]
-        h = self.half
-        if h and mask >> h == mask & ((1 << h) - 1):
-            # the mirror rule: t's solutions mirror v's, searched just now
-            t = v + h if v < h else v - h
-            dropped |= 1 << t
-            dirty |= masks[t]
-            self.stats.reductions["mirror"] += 1
-        self._search(mask & ~dropped, dirty, current, chosen)
+        h, reductions = self.half, self.stats.reductions
+        stack = [(alive, alive, 0, 0, False)]
+        while stack:
+            mask, dirty, current, chosen, mirrored = stack.pop()
+            reductions["mirror"] += mirrored
+            if self._over_budget():
+                self.exhausted = True
+                return
+            self.stats.search_nodes += 1
+            # domination to fixpoint: take v when w(v) covers its whole
+            # remaining neighborhood (isolated nodes always qualify)
+            dirty &= mask
+            while dirty:
+                low = dirty & -dirty
+                v = low.bit_length() - 1
+                dirty ^= low
+                wv = weights[v]
+                total = 0
+                nb = masks[v] & mask
+                while nb and total <= wv:
+                    nlow = nb & -nb
+                    total += weights[nlow.bit_length() - 1]
+                    nb ^= nlow
+                if total <= wv:
+                    removed = closed[v] & mask
+                    mask ^= removed
+                    dirty = (dirty | _neighborhood(removed, masks)) & mask
+                    chosen |= low
+                    current += wv
+                    reductions["domination"] += 1
+            if not mask:
+                if current > self.best_weight:
+                    self.best_weight = current
+                    self.best_mask = chosen
+                continue
+            if current + _clique_cover_bound(mask, masks, weights) <= self.best_weight:
+                continue
+            v = _branch_node(mask, masks, weights)
+            dropped, dirty = 1 << v, masks[v]
+            mirrored = h and mask >> h == mask & ((1 << h) - 1)
+            if mirrored:
+                # the mirror rule: t's solutions mirror v's, searched first
+                t = v + h if v < h else v - h
+                dropped |= 1 << t
+                dirty |= masks[t]
+            stack.append((mask & ~dropped, dirty, current, chosen, mirrored))
+            removed = closed[v] & mask
+            dirty = _neighborhood(removed, masks)
+            take = (mask ^ removed, dirty, current + weights[v], chosen | 1 << v, False)
+            stack.append(take)
 
 
 def _swap_half(g: WeightedGraph) -> int:
@@ -487,16 +493,19 @@ def _find_move(
 def induced_bipartite_bruteforce(g: WeightedGraph) -> BipartiteSolution:
     """Exact maximum-weight node set inducing a bipartite subgraph.
 
-    Works straight from the definition in two exhaustive passes.  The
-    optimum value comes from a search that assigns each node to side A,
-    side B, or neither (a set induces a bipartite subgraph exactly when it
-    splits into two independent sides), cutting only assignments whose
-    sides stop being independent or that cannot reach the incumbent.  The
-    returned set is then the lexicographically smallest one achieving that
-    value, found by an ascending include-first scan over node sets with an
-    incremental 2-colorability check.  The witness bipartition is
-    recomputed by 2-coloring the induced subgraph.  Refuses graphs above
-    the node cap of 20.
+    Works straight from the definition in one exhaustive search.  It walks
+    the positive-weight nodes in ascending order, tries including each
+    node before excluding it, and includes a node only when the chosen set
+    stays 2-colorable.  It keeps a set only when it is strictly heavier
+    than the best so far, and cuts a branch when even all the remaining
+    weight cannot beat it.  Every searched node weighs more than zero, so
+    no optimal set contains another, and the include-first walk meets the
+    optimal sets in lexicographic order: the first one kept is the
+    lexicographically smallest optimum, and none after it is heavier.
+    Until then the best weight stays below the optimum, so no branch
+    leading to it is cut.  The witness bipartition 2-colors the induced
+    subgraph, each component's smallest node on side A.  Refuses graphs
+    above the node cap of 20.
     """
     if g.node_count > DEFAULT_BIPARTITE_BRUTEFORCE_NODES:
         raise LimitExceededError(
@@ -509,13 +518,22 @@ def induced_bipartite_bruteforce(g: WeightedGraph) -> BipartiteSolution:
     suffix = [0] * (len(nodes) + 1)
     for i in range(len(nodes) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[nodes[i]]
-    best_weight = _bipartite_optimum(nodes, suffix, masks, weights)
-    if best_weight == 0:
-        node_set: frozenset[int] = frozenset()
-    else:
-        node_set = _lex_bipartite_optimum(
-            g.node_count, nodes, suffix, masks, weights, best_weight
-        )
+    best_weight = best_mask = 0
+
+    def walk(i: int, cur: int, chosen: int) -> None:
+        nonlocal best_weight, best_mask
+        if cur + suffix[i] <= best_weight:
+            return
+        if i == len(nodes):
+            best_weight, best_mask = cur, chosen
+            return
+        v = nodes[i]
+        if _two_colorable(v, chosen | 1 << v, masks):
+            walk(i + 1, cur + weights[v], chosen | 1 << v)
+        walk(i + 1, cur, chosen)
+
+    walk(0, 0, 0)
+    node_set = frozenset(_bits(best_mask))
     sub, back = induced_subgraph(g, node_set)
     coloring = two_coloring(sub)
     assert not isinstance(coloring, tuple), "found set is not bipartite"
@@ -528,119 +546,16 @@ def induced_bipartite_bruteforce(g: WeightedGraph) -> BipartiteSolution:
     )
 
 
-def _bipartite_optimum(
-    nodes: list[int], suffix: list[int], masks: list[int], weights
-) -> int:
-    best = 0
-
-    def assign(i: int, a_mask: int, b_mask: int, cur: int) -> None:
-        nonlocal best
-        if cur + suffix[i] <= best:
-            return
-        if i == len(nodes):
-            best = cur
-            return
-        v = nodes[i]
-        bit = 1 << v
-        if masks[v] & a_mask == 0:
-            assign(i + 1, a_mask | bit, b_mask, cur + weights[v])
-        # the very first selected node always goes to side A: the sides of
-        # a bipartition are interchangeable, so this halves the search
-        if (a_mask or b_mask) and masks[v] & b_mask == 0:
-            assign(i + 1, a_mask, b_mask | bit, cur + weights[v])
-        assign(i + 1, a_mask, b_mask, cur)
-
-    assign(0, 0, 0, 0)
-    return best
-
-
-class _ParityForest:
-    """Union-find with edge parity and rollback.
-
-    Tracks 2-colorability of a growing induced subgraph: joining two
-    neighbors asserts they get opposite colors, and a contradiction means
-    the current node set contains an odd cycle.  No path compression, so
-    unions undo exactly.
-    """
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.parity = [0] * n  # color flip relative to parent
-
-    def find(self, v: int) -> tuple[int, int]:
-        flip = 0
-        while self.parent[v] != v:
-            flip ^= self.parity[v]
-            v = self.parent[v]
-        return v, flip
-
-    def join_opposite(self, a: int, b: int, trail: list) -> bool:
-        """Constrain color(a) != color(b); False if that is contradictory."""
-        ra, fa = self.find(a)
-        rb, fb = self.find(b)
-        if ra == rb:
-            return fa != fb
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-            fa, fb = fb, fa
-        self.parent[rb] = ra
-        self.parity[rb] = fa ^ fb ^ 1
-        bumped = self.rank[ra] == self.rank[rb]
-        if bumped:
-            self.rank[ra] += 1
-        trail.append((rb, ra, bumped))
-        return True
-
-    def undo(self, trail: list) -> None:
-        while trail:
-            rb, ra, bumped = trail.pop()
-            self.parent[rb] = rb
-            self.parity[rb] = 0
-            if bumped:
-                self.rank[ra] -= 1
-
-
-def _lex_bipartite_optimum(
-    n: int,
-    nodes: list[int],
-    suffix: list[int],
-    masks: list[int],
-    weights,
-    optimum: int,
-) -> frozenset[int]:
-    # Ascending include-first scan over node sets: the first set reaching
-    # the optimum is the lexicographically smallest optimal one.  Branches
-    # that cannot reach the optimum by total remaining weight, or whose
-    # set already contains an odd cycle, are skipped.
-    forest = _ParityForest(n)
-
-    def walk(i: int, cur: int, in_mask: int) -> int | None:
-        if cur == optimum:
-            return in_mask
-        if i == len(nodes):
-            return None
-        v = nodes[i]
-        if cur + weights[v] + suffix[i + 1] >= optimum:
-            trail: list = []
-            feasible = True
-            nbrs = masks[v] & in_mask
-            while nbrs:
-                low = nbrs & -nbrs
-                if not forest.join_opposite(v, low.bit_length() - 1, trail):
-                    feasible = False
-                    break
-                nbrs ^= low
-            if feasible:
-                found = walk(i + 1, cur + weights[v], in_mask | (1 << v))
-                if found is not None:
-                    return found
-            forest.undo(trail)
-        if cur + suffix[i + 1] >= optimum:
-            return walk(i + 1, cur, in_mask)
-        return None
-
-    found = walk(0, 0, 0)
-    if found is None:
-        raise AssertionError("optimum reconstruction failed")
-    return frozenset(_bits(found))
+def _two_colorable(v: int, live: int, masks: list[int]) -> bool:
+    """Whether v's component in the subgraph induced by ``live`` is
+    bipartite.  A breadth-first search from v visits the component in
+    layers by distance, and the component has an odd cycle exactly when an
+    edge joins two nodes of one layer."""
+    seen = layer = 1 << v
+    while layer:
+        reach = _neighborhood(layer, masks) & live
+        if reach & layer:
+            return False
+        layer = reach & ~seen
+        seen |= layer
+    return True

@@ -173,6 +173,12 @@ class TestVerify:
         assert main(["verify", str(c5_file), str(sol_path)]) == 1
         assert "side_a not independent" in capsys.readouterr().out
 
+    def test_deeply_nested_json_is_usage_error(self, capsys, c5_file, tmp_path):
+        sol_path = tmp_path / "deep.json"
+        sol_path.write_text("[" * 200_000)
+        assert main(["verify", str(c5_file), str(sol_path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
 
 class TestBench:
     def test_grid_csv(self, capsys):

@@ -156,6 +156,11 @@ class TestSolutionJson:
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_solution("weight: 4")
 
+    def test_parse_rejects_deeply_nested_json(self):
+        # deeper than the json decoder's recursion allows
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_solution("[" * 200_000)
+
     def test_stats_default_empty(self):
         sol = BipartiteSolution(frozenset(), Bipartition(frozenset(), frozenset()), 0)
         payload = json.loads(write_solution(sol, optimal=True))

@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -146,6 +148,28 @@ class TestMwisExact:
         assert set_weight(g, result.solution) == result.weight
         # unconstrained run can only be at least as good
         assert result.weight <= mwis_exact(g).weight
+
+    def test_deep_search_does_not_recurse(self):
+        # 250 disjoint 5-cycles, doubled: the first dive branches about once
+        # per cycle, so it goes about 250 levels deep
+        edges = [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(250) for i in range(5)]
+        g = build_doubled_graph(from_edge_list(1250, edges, [1] * 1250)).graph
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            result = mwis_exact(g, SolverLimits(node_budget=300))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert not result.optimal
+        assert result.weight == 1000
+        assert is_independent_set(g, result.solution)
+        # the counts of a recursive search under a large recursion limit
+        assert result.stats.search_nodes == 300
+        assert result.stats.reductions == {
+            "domination": 826,
+            "zero_weight": 0,
+            "mirror": 26,
+        }
 
     def test_deterministic_including_stats(self):
         g = gnp(18, 0.4, seed=11, weights=(1, 30))
@@ -701,9 +725,28 @@ class TestInducedBipartiteBruteforce:
         with pytest.raises(LimitExceededError):
             induced_bipartite_bruteforce(edgeless_graph(21))
 
-    @pytest.mark.parametrize("seed", range(25))
-    def test_matches_literal_oracle(self, seed):
-        g = _random_instance(seed + 2000, max_n=10, zero_weights=seed % 3 == 0)
+    @pytest.mark.parametrize(
+        "kind, seed",
+        [
+            *(pytest.param("mixed", seed, id=str(seed)) for seed in range(25)),
+            # unit weights make ties common, so these guard the tie-break
+            *(pytest.param("unit", seed, id=f"unit-{seed}") for seed in range(40)),
+            # a 5-cycle 0-3-4-1-5 plus the isolated node 2: the
+            # lexicographically smallest optimum is [0, 1, 2, 3, 4], while a
+            # side A/side B/neither assignment search meets [0, 1, 2, 3, 5]
+            # first
+            pytest.param("c5-plus-isolated", None, id="c5-plus-isolated"),
+        ],
+    )
+    def test_matches_literal_oracle(self, kind, seed):
+        if kind == "mixed":
+            g = _random_instance(seed + 2000, max_n=10, zero_weights=seed % 3 == 0)
+        elif kind == "unit":
+            rng = random.Random(seed + 3000)
+            n = rng.randint(4, 10)
+            g = gnp(n, rng.choice([0.3, 0.5, 0.7]), seed=seed + 3000, weights=None)
+        else:
+            g = from_edge_list(6, [(0, 3), (0, 5), (1, 4), (1, 5), (3, 4)], [1] * 6)
         expected_w, expected_set = literal_induced_bipartite(g)
         sol = induced_bipartite_bruteforce(g)
         assert sol.weight == expected_w
