@@ -113,10 +113,13 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
 
 def _limits(args) -> SolverLimits:
     """The exact engine's budgets from ``--budget-nodes``/``--budget-ms``."""
-    return SolverLimits(
-        node_budget=args.budget_nodes,
-        time_budget_s=None if args.budget_ms is None else args.budget_ms / 1000.0,
-    )
+    seconds = None
+    if args.budget_ms is not None:
+        try:
+            seconds = args.budget_ms / 1000.0
+        except OverflowError:
+            raise ValueError("--budget-ms is out of range") from None
+    return SolverLimits(node_budget=args.budget_nodes, time_budget_s=seconds)
 
 
 def _parse_weights(spec: str) -> tuple[int, int] | None:
@@ -211,6 +214,8 @@ def _cmd_bench(args) -> int:
         for path in paths:
             instances.append((path.name, _load_instance(path)))
     else:
+        if args.grid_seeds < 1:
+            raise ValueError(f"--grid-seeds must be positive, got {args.grid_seeds}")
         weights = _parse_weights(args.weights)
         seed = args.seed
         for n in args.grid_n:

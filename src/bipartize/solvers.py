@@ -106,162 +106,127 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     node or time budget the search may stop early; the result is then the
     best solution found, flagged ``optimal=False``.
 
+    The search is depth first, without recursion, so its depth is not bound
+    by Python's recursion limit.  The pending search nodes wait on a stack.
+    Each entry is a live mask, the part of it that may dominate, the weight
+    and mask of the nodes taken so far, and whether its branch dropped a
+    mirror twin.  A branch pushes its exclude child below its take child,
+    so the take child's whole subtree is searched before the exclude child
+    starts.  A twin exclusion counts when its child is popped, just before
+    the budget check.
+
+    Dirty-set invariant.  A live node outside the dirty part was found not
+    to dominate, and none of its neighbors has been removed since, so it
+    still does not.  The root passes every node; a child passes the
+    neighbors of the nodes its branch removed.  The fixpoint examines the
+    lowest dirty node: the dirty nodes below it were found not to dominate
+    and the clean ones are known not to, so when it dominates it is the
+    lowest dominating node, the one a scan of every live node would take.
+    A take removes its closed neighborhood and makes that neighborhood's
+    neighbors dirty again.
+
     Mirror rule.  When the swap s of the halves, v <-> v + n/2, maps the
     graph onto itself with equal weights (as on every doubled graph, where
     it swaps the two layers and so the two sides of the bipartition), each
     solution has a mirror image of the same weight, and the search proves
     only one of the two.  At a branch on v whose live set M has s(M) = M,
     the exclude child also drops v's twin t = s(v).  This loses no weight.
-    The take-v child has been searched in full before the exclude child
-    starts (on a budget stop the search returns at once), so the incumbent
-    already weighs at least as much as the nodes taken so far plus any
-    independent set inside M that holds v.  Let S be an independent set
-    inside M that holds t but not v.  Its mirror image s(S) lies inside
-    s(M) = M, is independent, holds s(t) = v and weighs the same as S; no
-    live node is adjacent to a node taken so far, so s(S) completes them
-    to a solution, one the incumbent already matches.  So the exclude
-    child need only search M minus {v, t}, and it re-examines the
-    neighbors of both for domination.  ``stats.reductions["mirror"]``
+    By the stack order above, the take-v child has been searched in full
+    before the exclude child starts (on a budget stop the search ends at
+    once), so the incumbent already weighs at least as much as the nodes
+    taken so far plus any independent set inside M that holds v.  Let S be
+    an independent set inside M that holds t but not v.  Its mirror image
+    s(S) lies inside s(M) = M, is independent, holds s(t) = v and weighs
+    the same as S; no live node is adjacent to a node taken so far, so s(S)
+    completes them to a solution, one the incumbent already matches.  So
+    the exclude child need only search M minus {v, t}, and it re-examines
+    the neighbors of both for domination.  ``stats.reductions["mirror"]``
     counts these twin exclusions.
     """
     limits = limits or SolverLimits()
-    search = _BranchAndReduce(g, limits)
-    return search.run()
-
-
-class _BranchAndReduce:
-    def __init__(self, g: WeightedGraph, limits: SolverLimits):
-        self.n = g.node_count
-        self.weights = g.weights
-        self.masks = g.neighbor_masks()
-        self.closed = [self.masks[v] | (1 << v) for v in range(self.n)]
-        self.half = _swap_half(g)
-        self.limits = limits
-        self.stats = SearchStats(
-            reductions={"domination": 0, "zero_weight": 0, "mirror": 0}
-        )
-        self.exhausted = False
-        self.best_weight = 0
-        self.best_mask = 0
-        self.deadline = None
-
-    def run(self) -> SolveResult:
-        start = time.perf_counter()
-        if self.limits.time_budget_s is not None:
-            self.deadline = start + self.limits.time_budget_s
-        alive = _positive_mask(self.weights)
-        self.stats.reductions["zero_weight"] = self.n - alive.bit_count()
-        # greedy incumbent: cheap, deterministic, prunes most of the tree;
-        # cut short at the deadline, when the search's first check stops too
-        for v in _greedy_order(self.masks, self.weights, alive, self.deadline):
-            self.best_mask |= 1 << v
-            self.best_weight += self.weights[v]
-        self._search(alive)
-        self.stats.elapsed_s = time.perf_counter() - start
-        return SolveResult(
-            frozenset(_bits(self.best_mask)),
-            self.best_weight,
-            not self.exhausted,
-            self.stats,
-        )
-
-    def _over_budget(self) -> bool:
-        if (
-            self.limits.node_budget is not None
-            and self.stats.search_nodes >= self.limits.node_budget
+    start = time.perf_counter()
+    budget = limits.node_budget
+    deadline = None if limits.time_budget_s is None else start + limits.time_budget_s
+    weights, masks = g.weights, g.neighbor_masks()
+    h = _swap_half(masks, weights)
+    lower = (1 << h) - 1
+    alive = _positive_mask(weights)
+    zero = g.node_count - alive.bit_count()
+    reductions = {"domination": 0, "zero_weight": zero, "mirror": 0}
+    # greedy incumbent: cheap, deterministic, prunes most of the tree; cut
+    # short at the deadline, when the search's first budget check stops too
+    best_weight = best_mask = 0
+    for v in _greedy_order(masks, weights, alive, deadline):
+        best_mask |= 1 << v
+        best_weight += weights[v]
+    search_nodes, optimal = 0, True
+    stack = [(alive, alive, 0, 0, False)]
+    while stack:
+        mask, dirty, current, chosen, mirrored = stack.pop()
+        reductions["mirror"] += mirrored
+        if (budget is not None and search_nodes >= budget) or (
+            deadline is not None and time.perf_counter() > deadline
         ):
-            return True
-        if self.deadline is not None and time.perf_counter() > self.deadline:
-            return True
-        return False
-
-    def _search(self, alive: int) -> None:
-        """Search the live nodes ``alive``, depth first, without recursion.
-
-        The pending search nodes wait on an explicit stack, so the depth is
-        not bound by Python's recursion limit.  Each entry is a live mask,
-        the part of it that may dominate, the weight and mask of the nodes
-        taken so far, and whether its branch dropped a mirror twin.  A
-        branch pushes its exclude child below its take child, so the take
-        child's whole subtree is searched before the exclude child starts,
-        as the mirror rule needs.  A twin exclusion counts when its child is
-        popped, just before the budget check.
-
-        Invariant: a live node outside the dirty part was found not to
-        dominate, and none of its neighbors has been removed since, so it
-        still does not.  The root passes every node; a child passes the
-        neighbors of the nodes its branch removed.  The fixpoint examines
-        the lowest dirty node: the dirty nodes below it were found not to
-        dominate and the clean ones are known not to, so when it dominates
-        it is the lowest dominating node, the one a scan of every live node
-        would take.  A take removes its closed neighborhood and makes that
-        neighborhood's neighbors dirty again.
-        """
-        weights, masks, closed = self.weights, self.masks, self.closed
-        h, reductions = self.half, self.stats.reductions
-        stack = [(alive, alive, 0, 0, False)]
-        while stack:
-            mask, dirty, current, chosen, mirrored = stack.pop()
-            reductions["mirror"] += mirrored
-            if self._over_budget():
-                self.exhausted = True
-                return
-            self.stats.search_nodes += 1
-            # domination to fixpoint: take v when w(v) covers its whole
-            # remaining neighborhood (isolated nodes always qualify)
-            dirty &= mask
-            while dirty:
-                low = dirty & -dirty
-                v = low.bit_length() - 1
-                dirty ^= low
-                wv = weights[v]
-                total = 0
-                nb = masks[v] & mask
-                while nb and total <= wv:
-                    nlow = nb & -nb
-                    total += weights[nlow.bit_length() - 1]
-                    nb ^= nlow
-                if total <= wv:
-                    removed = closed[v] & mask
-                    mask ^= removed
-                    dirty = (dirty | _neighborhood(removed, masks)) & mask
-                    chosen |= low
-                    current += wv
-                    reductions["domination"] += 1
-            if not mask:
-                if current > self.best_weight:
-                    self.best_weight = current
-                    self.best_mask = chosen
-                continue
-            if current + _clique_cover_bound(mask, masks, weights) <= self.best_weight:
-                continue
-            v = _branch_node(mask, masks, weights)
-            dropped, dirty = 1 << v, masks[v]
-            mirrored = h and mask >> h == mask & ((1 << h) - 1)
-            if mirrored:
-                # the mirror rule: t's solutions mirror v's, searched first
-                t = v + h if v < h else v - h
-                dropped |= 1 << t
-                dirty |= masks[t]
-            stack.append((mask & ~dropped, dirty, current, chosen, mirrored))
-            removed = closed[v] & mask
-            dirty = _neighborhood(removed, masks)
-            take = (mask ^ removed, dirty, current + weights[v], chosen | 1 << v, False)
-            stack.append(take)
+            optimal = False
+            break
+        search_nodes += 1
+        # domination to fixpoint: take v when w(v) covers its whole
+        # remaining neighborhood (isolated nodes always qualify)
+        dirty &= mask
+        while dirty:
+            low = dirty & -dirty
+            v = low.bit_length() - 1
+            dirty ^= low
+            wv = weights[v]
+            total = 0
+            nb = masks[v] & mask
+            while nb and total <= wv:
+                nlow = nb & -nb
+                total += weights[nlow.bit_length() - 1]
+                nb ^= nlow
+            if total <= wv:
+                removed = (masks[v] | low) & mask
+                mask ^= removed
+                dirty = (dirty | _neighborhood(removed, masks)) & mask
+                chosen |= low
+                current += wv
+                reductions["domination"] += 1
+        if not mask:
+            if current > best_weight:
+                best_weight, best_mask = current, chosen
+            continue
+        if current + _clique_cover_bound(mask, masks, weights) <= best_weight:
+            continue
+        v = _branch_node(mask, masks, weights)
+        dropped, dirty = 1 << v, masks[v]
+        mirrored = h and mask >> h == mask & lower
+        if mirrored:
+            # the mirror rule: t's solutions mirror v's, searched first
+            t = v + h if v < h else v - h
+            dropped |= 1 << t
+            dirty |= masks[t]
+        stack.append((mask & ~dropped, dirty, current, chosen, mirrored))
+        removed = (masks[v] | 1 << v) & mask
+        dirty = _neighborhood(removed, masks)
+        take = (mask ^ removed, dirty, current + weights[v], chosen | 1 << v, False)
+        stack.append(take)
+    stats = SearchStats(search_nodes, reductions, time.perf_counter() - start)
+    return SolveResult(frozenset(_bits(best_mask)), best_weight, optimal, stats)
 
 
-def _swap_half(g: WeightedGraph) -> int:
-    """n/2 when swapping the halves, v <-> v + n/2, maps ``g`` onto itself
-    with equal weights; else 0.  One pass over the adjacency: the swap is
-    an involution on an undirected graph, so checking the low half's
-    nodes, their weights and their neighbor sets covers every edge."""
-    n, adjacency, weights = g.node_count, g.adjacency, g.weights
+def _swap_half(masks: list[int], weights) -> int:
+    """n/2 when swapping the halves, v <-> v + n/2, maps the graph with
+    neighbor ``masks`` onto itself with equal ``weights``; else 0.  The swap
+    is an involution on an undirected graph, so it is enough that each low
+    node's neighbor mask, swapped, equals its twin's."""
+    n = len(masks)
     h = n // 2
     if n % 2 or weights[:h] != weights[h:]:
         return 0
-    twin = [*range(h, n), *range(h)].__getitem__
+    lower = (1 << h) - 1
     for v in range(h):
-        if set(map(twin, adjacency[v])) != set(adjacency[v + h]):
+        m = masks[v]
+        if m >> h | (m & lower) << h != masks[v + h]:
             return 0
     return h
 

@@ -143,6 +143,11 @@ class TestSolve:
         assert main(["solve", str(c5_file), flag, "0"]) == 2
         assert "must be positive" in capsys.readouterr().err
 
+    def test_huge_time_budget_is_usage_error(self, capsys, c5_file):
+        # a budget too large for a float is refused, not left to overflow
+        assert main(["solve", str(c5_file), "--budget-ms", "1" + "0" * 400]) == 2
+        assert capsys.readouterr().err.startswith("error: --budget-ms")
+
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["solve", "/nonexistent/g.col"]) == 2
 
@@ -225,6 +230,15 @@ class TestBench:
         empty = tmp_path / "none"
         empty.mkdir()
         assert main(["bench", "--dir", str(empty)]) == 2
+
+    def test_huge_time_budget_is_usage_error(self, capsys):
+        assert main(["bench", "--grid-n", "6", "--budget-ms", "1" + "0" * 400]) == 2
+        assert capsys.readouterr().err.startswith("error: --budget-ms")
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_empty_grid_is_usage_error(self, capsys, seeds):
+        assert main(["bench", "--grid-n", "6", "--grid-seeds", seeds]) == 2
+        assert capsys.readouterr().err.startswith("error: --grid-seeds")
 
 
 class TestUsage:

@@ -217,6 +217,11 @@ def _swap_instance(seed, kind):
     return h
 
 
+def _half(g):
+    """The exact engine's swap check, on ``g``'s neighbor masks and weights."""
+    return solvers._swap_half(g.neighbor_masks(), g.weights)
+
+
 class TestLayerSwap:
     """The mirror rule of the exact engine and the swap check behind it."""
 
@@ -224,8 +229,8 @@ class TestLayerSwap:
     def test_detects_doubled_and_disjoint_copies(self, seed):
         g = _random_instance(seed + 3000, max_n=12)
         n = g.node_count
-        assert solvers._swap_half(build_doubled_graph(g).graph) == n
-        assert solvers._swap_half(_disjoint_copies(g)) == n
+        assert _half(build_doubled_graph(g).graph) == n
+        assert _half(_disjoint_copies(g)) == n
 
     def test_one_weight_breaks_the_swap(self):
         h = build_doubled_graph(gnp(8, 0.3, seed=5, weights=(1, 20))).graph
@@ -234,7 +239,7 @@ class TestLayerSwap:
             weights = list(h.weights)
             weights[v] += 1
             broken = from_edge_list(h.node_count, edges, weights)
-            assert solvers._swap_half(broken) == 0
+            assert _half(broken) == 0
 
     def test_one_edge_breaks_the_swap(self):
         g = gnp(8, 0.3, seed=5, weights=(1, 20))
@@ -248,16 +253,16 @@ class TestLayerSwap:
                 # an edge {u, twin of u} is its own image under the swap
                 expected = half if x == u + half else 0
                 grown = from_edge_list(h.node_count, edges + [(u, x)], h.weights)
-                assert solvers._swap_half(grown) == expected
+                assert _half(grown) == expected
         for edge in edges:
             u, x = edge
             shrunk = [e for e in edges if e != edge]
             expected = half if x == u + half else 0
             cut = from_edge_list(h.node_count, shrunk, h.weights)
-            assert solvers._swap_half(cut) == expected
+            assert _half(cut) == expected
 
     def test_odd_node_count(self):
-        assert solvers._swap_half(edgeless_graph(5)) == 0
+        assert _half(edgeless_graph(5)) == 0
 
     @pytest.mark.parametrize("kind", ["doubled", "copies", "broken"])
     @pytest.mark.parametrize("seed", range(40))
@@ -603,6 +608,10 @@ def _unit_greedy_start(g):
     return mwis_greedy(unit).solution
 
 
+def _reductions(domination, zero_weight=0, mirror=0):
+    return {"domination": domination, "zero_weight": zero_weight, "mirror": mirror}
+
+
 class TestPinnedOutputs:
     """Exact outputs of the heuristic and exact engines on seeded G(n, p).
 
@@ -660,22 +669,37 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize(
         "case,weight,search_nodes,domination,doubled",
         [
-            ((30, 0.2, 21, (1, 100)), 689, 63, 109, (1278, 573, 1131)),
-            ((36, 0.1, 22, (1, 100)), 998, 7, 24, (1548, 333, 1028)),
-            ((28, 0.3, 23, (0, 5)), 25, 29, 37, (48, 119, 212)),
-            ((40, 0.15, 24, (1, 100)), 779, 103, 226, None),
+            (
+                (30, 0.2, 21, (1, 100)), 689, 63, 109,
+                (1278, 573, _reductions(1131, mirror=10)),
+            ),
+            (
+                (36, 0.1, 22, (1, 100)), 998, 7, 24,
+                (1548, 333, _reductions(1028, mirror=10)),
+            ),
+            (
+                (28, 0.3, 23, (0, 5)), 25, 29, 37,
+                (48, 119, _reductions(212, zero_weight=8, mirror=9)),
+            ),
+            (
+                (40, 0.15, 24, (1, 100)), 779, 103, 226,
+                (1413, 2875, _reductions(7181, mirror=15)),
+            ),
         ],
     )
     def test_exact(self, case, weight, search_nodes, domination, doubled):
         n, p, seed, weights = case
         g = gnp(n, p, seed=seed, weights=weights)
-        graphs = [(g, (weight, search_nodes, domination))]
-        if doubled is not None:
-            graphs.append((build_doubled_graph(g).graph, doubled))
+        # a G(n, p) graph has no half swap, so no mirror exclusions
+        reductions = _reductions(domination, zero_weight=g.weights.count(0))
+        graphs = [
+            (g, (weight, search_nodes, reductions)),
+            (build_doubled_graph(g).graph, doubled),
+        ]
         for h, expected in graphs:
             result = mwis_exact(h)
-            domination = result.stats.reductions["domination"]
-            assert (result.weight, result.stats.search_nodes, domination) == expected
+            stats = result.stats
+            assert (result.weight, stats.search_nodes, stats.reductions) == expected
             assert set_weight(h, result.solution) == result.weight
 
     @pytest.mark.parametrize(
@@ -698,9 +722,9 @@ class TestPinnedOutputs:
     def test_exact_budgeted(self):
         g = build_doubled_graph(gnp(400, 0.01, seed=25, weights=(1, 100))).graph
         result = mwis_exact(g, SolverLimits(node_budget=20))
-        domination = result.stats.reductions["domination"]
         assert not result.optimal
-        assert (result.weight, result.stats.search_nodes, domination) == (17196, 20, 54)
+        assert (result.weight, result.stats.search_nodes) == (17196, 20)
+        assert result.stats.reductions == _reductions(54)
         assert _digest(result.solution) == "546eb28a96cdd949"
 
 
