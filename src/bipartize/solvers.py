@@ -4,7 +4,11 @@ Three maximum-weight independent set engines with different guarantees:
 
 * :func:`mwis_exact` — branch-and-reduce, optimal unless a budget runs out.
 * :func:`mwis_greedy` — weight/(degree+1) greedy, no optimality claim.
-* :func:`mwis_local_search` — add-moves and (1,2)-swaps to a local optimum.
+* :func:`mwis_local_search` — add-moves and (1,1)- and (1,2)-swaps to a
+  local optimum.
+
+The exact engine works on per-node neighbor bitmasks; the greedy and the
+local search work on the adjacency lists, in memory linear in n + m.
 
 Plus :func:`induced_bipartite_bruteforce`, an exhaustive oracle for the
 maximum-weight induced bipartite subgraph itself, used to cross-validate
@@ -156,7 +160,8 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     # greedy incumbent: cheap, deterministic, prunes most of the tree; cut
     # short at the deadline, when the search's first budget check stops too
     best_weight = best_mask = 0
-    for v in _greedy_order(masks, weights, alive, deadline):
+    positive = [w > 0 for w in weights]
+    for v in _greedy_order(g.adjacency, weights, positive, deadline):
         best_mask |= 1 << v
         best_weight += weights[v]
     search_nodes, optimal = 0, True
@@ -298,11 +303,12 @@ def _clique_cover_bound(mask: int, masks: list[int], weights) -> int:
 
 
 def _greedy_order(
-    masks: list[int], weights, mask: int, deadline: float | None = None
+    adjacency, weights, live, deadline: float | None = None
 ) -> list[int]:
-    """Greedy pick order inside ``mask``: repeatedly the node with the
-    largest weight/(degree+1), degrees taken in the shrinking graph,
-    smallest index on ties.
+    """Greedy pick order among the nodes whose ``live`` flag is set:
+    repeatedly the node with the largest weight/(degree+1), degrees taken
+    in the shrinking graph, smallest index on ties.  ``live`` holds one
+    flag per node and is left unchanged.
 
     With a ``deadline`` (a ``time.perf_counter`` reading), the clock is
     read every 256 picks, and once it is past the deadline the picks so
@@ -310,34 +316,40 @@ def _greedy_order(
 
     The nodes sit in a lazily updated min-heap under exact integer keys.
     With D the largest starting degree, S = (D+1)^2 and n one more than the
-    largest index in ``mask``, the key ``v - (w(v) * S // (d+1)) * n``
-    orders by descending w/(d+1), then by ascending index, and ``key % n``
-    recovers v.  The floor keeps the exact order: two different ratios with
-    degrees at most D differ by at least 1/S, so their multiples of S have
-    distinct floors, and equal ratios get equal keys.  S adds only about
+    largest live index, the key ``v - (w(v) * S // (d+1)) * n`` orders by
+    descending w/(d+1), then by ascending index, and ``key % n`` recovers
+    v.  The floor keeps the exact order: two different ratios with degrees
+    at most D differ by at least 1/S, so their multiples of S have distinct
+    floors, and equal ratios get equal keys.  S adds only about
     2 log2(D+1) bits to a key, so its memory grows as log D, not with D.
 
-    A pick removes its closed neighborhood; only the live nodes next to
-    that neighborhood lose degree, so only they are re-keyed and pushed
-    again.  The old entries stay in the heap: keys never rise, so a live
-    node's newest entry is its smallest and pops first, and any entry
-    popped for a node no longer live is skipped.
+    A pick removes its closed neighborhood.  Each removed node lowers the
+    degree of its live neighbors by one, so only they are re-keyed and
+    pushed again, and a pick costs work in proportion to the edges at the
+    nodes it removes.  The old entries stay in the heap: keys never rise,
+    so a live node's newest entry is its smallest and pops first, and any
+    entry popped for a node no longer live is skipped.
     """
-    nodes = _bits(mask)
+    live = bytearray(live)
+    nodes = [v for v, flag in enumerate(live) if flag]
     if not nodes:
         return []
     n = nodes[-1] + 1
-    degree = [(masks[v] & mask).bit_count() for v in nodes]
-    scale = (max(degree) + 1) ** 2
-    heap = [v - weights[v] * scale // (d + 1) * n for v, d in zip(nodes, degree)]
+    # live degrees: every neighbor counts, less the ones not live
+    degree = [len(nbrs) for nbrs in adjacency]
+    for v, flag in enumerate(live):
+        if not flag:
+            for u in adjacency[v]:
+                degree[u] -= 1
+    scale = (max(degree[v] for v in nodes) + 1) ** 2
+    heap = [v - weights[v] * scale // (degree[v] + 1) * n for v in nodes]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     order = []
-    cur = mask
-    while cur:
-        key = pop(heap)
-        v = key % n
-        if not cur >> v & 1:
+    remaining = len(nodes)
+    while remaining:
+        v = pop(heap) % n
+        if not live[v]:
             continue
         order.append(v)
         if (
@@ -346,15 +358,20 @@ def _greedy_order(
             and time.perf_counter() > deadline
         ):
             break
-        removed = (masks[v] | 1 << v) & cur
-        cur ^= removed
-        touched = _neighborhood(removed, masks) & cur
-        while touched:
-            low = touched & -touched
-            u = low.bit_length() - 1
-            touched ^= low
-            d = (masks[u] & cur).bit_count()
-            push(heap, u - weights[u] * scale // (d + 1) * n)
+        # v's neighbors all leave with it, so only theirs lose degree
+        removed = [u for u in adjacency[v] if live[u]]
+        live[v] = 0
+        for u in removed:
+            live[u] = 0
+        remaining -= len(removed) + 1
+        touched = set()
+        for r in removed:
+            for u in adjacency[r]:
+                if live[u]:
+                    degree[u] -= 1
+                    touched.add(u)
+        for u in touched:
+            push(heap, u - weights[u] * scale // (degree[u] + 1) * n)
     return order
 
 
@@ -366,26 +383,56 @@ def mwis_greedy(g: WeightedGraph) -> SolveResult:
     ``w(v)/(degree(v)+1)`` in the input graph (GWMIN; Sakai, Togasaki &
     Yamazaki, DAM 2003).  Never claims optimality.  The picks come from a
     min-heap under exact integer keys that re-keys only the nodes whose
-    degree dropped (see :func:`_greedy_order`), so a pick costs work in
-    proportion to the nodes it re-keys, not a scan of the whole graph.
-    ``stats.search_nodes`` counts the picks.
+    degree dropped (see :func:`_greedy_order`), and degrees are kept as
+    counts on the adjacency lists, so the whole greedy costs
+    O((n + m) log n) time and O(n + m) memory.  ``stats.search_nodes``
+    counts the picks.
     """
     start = time.perf_counter()
-    order = _greedy_order(g.neighbor_masks(), g.weights, _positive_mask(g.weights))
-    weight = sum(g.weights[v] for v in order)
+    weights = g.weights
+    order = _greedy_order(g.adjacency, weights, [w > 0 for w in weights])
+    weight = sum(weights[v] for v in order)
     stats = SearchStats(search_nodes=len(order))
     stats.elapsed_s = time.perf_counter() - start
     return SolveResult(frozenset(order), weight, False, stats)
 
 
-def mwis_local_search(g: WeightedGraph, start: frozenset[int] | set[int]) -> SolveResult:
-    """Improve an independent set with add-moves and (1,2)-swaps.
+# local-search status of a node with no owner: free, or neither free nor
+# owned (selected, zero weight or tightness >= 2); an owned node's is its owner
+_FREE, _OTHER = -1, -2
 
-    Moves, tried in a fixed order and applied first-improvement-first:
-    insert a node none of whose neighbors are selected; or remove one
-    selected node and insert one or two mutually non-adjacent replacements.
-    Only strictly improving moves are accepted, so the weight rises with
-    every move and the search terminates at a local optimum.
+
+def mwis_local_search(g: WeightedGraph, start: frozenset[int] | set[int]) -> SolveResult:
+    """Improve an independent set with add-moves and (1,1)- and (1,2)-swaps.
+
+    A node is free when it has positive weight, is not selected and has
+    no selected neighbor; it is owned by u when u is its only selected
+    neighbor (its tightness, the count of its selected neighbors, is 1).
+    Removing a selected node u frees exactly the nodes u owns.  Each move
+    is the first of these that exists, and only strictly improving moves
+    count, so the weight rises with every move and the search stops at a
+    local optimum:
+
+    1. insert the smallest free node;
+    2. else swap out the smallest owner u with an improving (1,1)-swap, for
+       the smallest node it owns that outweighs it;
+    3. else swap out the smallest owner u with an improving (1,2)-swap, for
+       the first pair, in ascending order, of mutually non-adjacent nodes
+       it owns whose weights add up to more than u's.
+
+    The classification is kept up to date across moves instead of being
+    rescanned (Andrade, Resende & Werneck, J. Heuristics 2012).  Each node
+    keeps its tightness and the sum of its selected neighbors' indices,
+    which names the owner at tightness 1.  A move changes these only at
+    the neighbors of the nodes it removes or inserts, so only they, and
+    the moved nodes, are reclassified.  Each owner caches its first
+    (1,1)-swap and its first (1,2)-swap and recomputes them only when its
+    owned set has changed, and then only once no free node is left.
+    Min-heaps of the free nodes and of the owners with a cached swap give
+    the next move; entries gone stale are skipped.  A move therefore costs
+    the edges at the nodes it moves plus a rescan of each owned set it
+    changes, not a pass over the whole graph, and memory stays O(n + m).
+    ``stats.search_nodes`` counts the moves.
 
     Zero-weight members of ``start`` are dropped up front (they never
     affect the objective).  Raises ValueError when ``start`` is not an
@@ -395,60 +442,119 @@ def mwis_local_search(g: WeightedGraph, start: frozenset[int] | set[int]) -> Sol
     members = frozenset(int(v) for v in start)
     if not is_independent_set(g, members):
         raise ValueError("start is not an independent set")
-    weights = g.weights
-    masks = g.neighbor_masks()
-    positive = _positive_mask(weights)
-    sel_mask = 0
+    adjacency, weights = g.adjacency, g.weights
+    n = g.node_count
+    selected = bytearray(n)
+    tight = [0] * n
+    owner_sum = [0] * n  # the sum of the selected neighbors, the owner at tightness 1
     for v in members:
-        sel_mask |= 1 << v
-    sel_mask &= positive
-    candidates = _bits(positive)
+        if weights[v] > 0:
+            selected[v] = 1
+            for x in adjacency[v]:
+                tight[x] += 1
+                owner_sum[x] += v
+    status = [_OTHER] * n
+    owned: dict[int, set[int]] = {}
+    free: list[int] = []
+    dirty: set[int] = set()
+    push, pop = heapq.heappush, heapq.heappop
+
+    def classify(x: int) -> None:
+        if selected[x] or not weights[x] or tight[x] > 1:
+            new = _OTHER
+        else:
+            new = owner_sum[x] if tight[x] else _FREE
+        old = status[x]
+        if new == old:
+            return
+        status[x] = new
+        if old >= 0:
+            group = owned[old]
+            group.discard(x)
+            if not group:
+                del owned[old]
+            dirty.add(old)
+        if new >= 0:
+            owned.setdefault(new, set()).add(x)
+            dirty.add(new)
+        elif new == _FREE:
+            push(free, x)
+
+    for v in range(n):
+        classify(v)
+    swap1: dict[int, int] = {}
+    swap2: dict[int, tuple[int, int]] = {}
+    heap1: list[int] = []
+    heap2: list[int] = []
     moves = 0
-    while (move := _find_move(candidates, sel_mask, masks, weights)) is not None:
-        removed, inserted = move
-        sel_mask = sel_mask & ~removed | inserted
+    while True:
+        while free and status[free[0]] != _FREE:
+            pop(free)
+        if free:
+            out, into = (), (free[0],)
+        else:
+            for u in dirty:
+                swap1.pop(u, None)
+                swap2.pop(u, None)
+                if u in owned:
+                    _cache_swaps(u, sorted(owned[u]), adjacency, weights, swap1, swap2)
+                    if u in swap1:
+                        push(heap1, u)
+                    if u in swap2:
+                        push(heap2, u)
+            dirty.clear()
+            while heap1 and heap1[0] not in swap1:
+                pop(heap1)
+            while heap2 and heap2[0] not in swap2:
+                pop(heap2)
+            if heap1:
+                out, into = (heap1[0],), (swap1[heap1[0]],)
+            elif heap2:
+                out, into = (heap2[0],), swap2[heap2[0]]
+            else:
+                break
+        for u in out:
+            selected[u] = 0
+            for x in adjacency[u]:
+                tight[x] -= 1
+                owner_sum[x] -= u
+        for v in into:
+            selected[v] = 1
+            for x in adjacency[v]:
+                tight[x] += 1
+                owner_sum[x] += v
+        for v in out + into:
+            classify(v)
+            for x in adjacency[v]:
+                classify(x)
         moves += 1
     stats = SearchStats(search_nodes=moves)
     stats.elapsed_s = time.perf_counter() - began
-    selected = _bits(sel_mask)
-    weight = sum(weights[v] for v in selected)
-    return SolveResult(frozenset(selected), weight, False, stats)
+    chosen = [v for v in range(n) if selected[v]]
+    weight = sum(weights[v] for v in chosen)
+    return SolveResult(frozenset(chosen), weight, False, stats)
 
 
-def _find_move(
-    candidates: list[int], sel_mask: int, masks: list[int], weights
-) -> tuple[int, int] | None:
-    """First improving move as (removed mask, inserted mask), or None.
-
-    One pass classifies each unselected candidate by its selected
-    neighbors, its tightness (Andrade, Resende & Werneck, J. Heuristics
-    2012): the first one with none is returned as an add-move, and one
-    with exactly one, u, is owned by u.  With no add-move left, removing u
-    frees exactly the nodes u owns.  So the swaps are tried from the owned
-    lists in this order: every (1,1)-swap, then every (1,2)-swap, each by
-    ascending u and ascending replacements.
-    """
-    owned: dict[int, list[int]] = {}
-    for v in candidates:
-        if sel_mask >> v & 1:
-            continue
-        hit = masks[v] & sel_mask
-        if not hit:
-            return 0, 1 << v
-        if not hit & (hit - 1):
-            owned.setdefault(hit.bit_length() - 1, []).append(v)
-    owners = sorted(owned)
-    for u in owners:
-        for v in owned[u]:
-            if weights[v] > weights[u]:
-                return 1 << u, 1 << v
-    for u in owners:
-        free = owned[u]
-        for i, a in enumerate(free):
-            for b in free[i + 1 :]:
-                if not masks[a] >> b & 1 and weights[a] + weights[b] > weights[u]:
-                    return 1 << u, 1 << a | 1 << b
-    return None
+def _cache_swaps(
+    u: int, group: list[int], adjacency, weights, swap1: dict, swap2: dict
+) -> None:
+    """Record owner u's first improving (1,1)-swap in ``swap1`` and its
+    first improving (1,2)-swap in ``swap2``, scanning the ascending list
+    ``group`` of the nodes u owns."""
+    wu = weights[u]
+    for v in group:
+        if weights[v] > wu:
+            swap1[u] = v
+            break
+    for i, a in enumerate(group):
+        need = wu - weights[a]
+        rest = [b for b in group[i + 1 :] if weights[b] > need]
+        if rest:
+            near = set(adjacency[a])
+            for b in rest:
+                if b not in near:
+                    swap2[u] = (a, b)
+                    return
 
 
 # ---------------------------------------------------------------------------

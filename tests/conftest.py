@@ -5,7 +5,11 @@ candidate with the structural predicates only; they share no code with the
 engines they validate.  :func:`mwis_bruteforce` is the fast exhaustive
 oracle for independent sets up to 25 nodes, for doubled graphs too large
 for plain enumeration; the literal oracle checks it, and it borrows only
-the package's bit-listing helper ``_bits``.
+the package's bit-listing helper ``_bits``.  :func:`reference_greedy_order`
+and :func:`reference_local_search` are the heuristics' plain rescans on
+neighbor bitmasks: each pick or move scans every live node again, so
+their orders are easy to read off, and the engines must reproduce them
+pick for pick and move for move.
 """
 
 from __future__ import annotations
@@ -242,6 +246,81 @@ def _lex_smallest_optimum(
         raise AssertionError("optimum reconstruction failed")
     return chosen, states
 
+
+def reference_greedy_order(masks: list[int], weights, mask: int) -> list[int]:
+    """The plain greedy scan: rescan every live node on every pick."""
+    order = []
+    cur = mask
+    while cur:
+        best_v = -1
+        best_w = 0
+        best_d = 0
+        m = cur
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            d = (masks[v] & cur).bit_count()
+            if best_v < 0 or weights[v] * (best_d + 1) > best_w * (d + 1):
+                best_v, best_w, best_d = v, weights[v], d
+        order.append(best_v)
+        cur &= ~(masks[best_v] | (1 << best_v))
+    return order
+
+
+def reference_local_search(g: WeightedGraph, start) -> tuple[frozenset[int], int]:
+    """Local search by a full rescan per move: (final set, number of moves).
+
+    Drops the zero-weight members of ``start``, then applies the first
+    move that :func:`_first_move` finds until there is none.
+    """
+    masks, weights = g.neighbor_masks(), g.weights
+    candidates = [v for v in range(g.node_count) if weights[v] > 0]
+    sel_mask = 0
+    for v in start:
+        if weights[v] > 0:
+            sel_mask |= 1 << v
+    moves = 0
+    while (move := _first_move(candidates, sel_mask, masks, weights)) is not None:
+        removed, inserted = move
+        sel_mask = sel_mask & ~removed | inserted
+        moves += 1
+    return frozenset(_bits(sel_mask)), moves
+
+
+def _first_move(
+    candidates: list[int], sel_mask: int, masks: list[int], weights
+) -> tuple[int, int] | None:
+    """First improving move as (removed mask, inserted mask), or None.
+
+    One pass classifies each unselected candidate by its selected
+    neighbors: the first one with none is returned as an add-move, and
+    one with exactly one, u, is owned by u.  With no add-move left,
+    removing u frees exactly the nodes u owns.  So the swaps are tried
+    from the owned lists in this order: every (1,1)-swap, then every
+    (1,2)-swap, each by ascending u and ascending replacements.
+    """
+    owned: dict[int, list[int]] = {}
+    for v in candidates:
+        if sel_mask >> v & 1:
+            continue
+        hit = masks[v] & sel_mask
+        if not hit:
+            return 0, 1 << v
+        if not hit & (hit - 1):
+            owned.setdefault(hit.bit_length() - 1, []).append(v)
+    owners = sorted(owned)
+    for u in owners:
+        for v in owned[u]:
+            if weights[v] > weights[u]:
+                return 1 << u, 1 << v
+    for u in owners:
+        free = owned[u]
+        for i, a in enumerate(free):
+            for b in free[i + 1 :]:
+                if not masks[a] >> b & 1 and weights[a] + weights[b] > weights[u]:
+                    return 1 << u, 1 << a | 1 << b
+    return None
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bipartize.graph as graph_module
 import bipartize.solvers as solvers
 from bipartize import (
     LimitExceededError,
@@ -40,6 +41,8 @@ from .conftest import (
     literal_mwis,
     literal_induced_bipartite,
     mwis_bruteforce,
+    reference_greedy_order,
+    reference_local_search,
     star_graph,
 )
 
@@ -389,31 +392,14 @@ class TestMwisGreedy:
         assert Fraction(result.weight) >= bound
 
 
-def _reference_greedy_order(masks, weights, mask):
-    """The plain greedy scan: rescan every live node on every pick."""
-    order = []
-    cur = mask
-    while cur:
-        best_v = -1
-        best_w = 0
-        best_d = 0
-        m = cur
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            d = (masks[v] & cur).bit_count()
-            if best_v < 0 or weights[v] * (best_d + 1) > best_w * (d + 1):
-                best_v, best_w, best_d = v, weights[v], d
-        order.append(best_v)
-        cur &= ~(masks[best_v] | (1 << best_v))
-    return order
+def _flags(mask, n):
+    """One live flag per node, from a bitmask."""
+    return [mask >> v & 1 for v in range(n)]
 
 
 def _assert_greedy_matches_reference(g, mask):
-    masks, weights = g.neighbor_masks(), g.weights
-    expected = _reference_greedy_order(masks, weights, mask)
-    assert _greedy_order(masks, weights, mask) == expected
+    expected = reference_greedy_order(g.neighbor_masks(), g.weights, mask)
+    assert _greedy_order(g.adjacency, g.weights, _flags(mask, g.node_count)) == expected
 
 
 class TestGreedyOrder:
@@ -447,13 +433,14 @@ class TestGreedyOrder:
     def test_ties_and_rekeys(self, edges, weights, order):
         g = from_edge_list(len(weights), edges, weights)
         mask = _positive_mask(g.weights)
-        assert _greedy_order(g.neighbor_masks(), g.weights, mask) == order
+        live = _flags(mask, g.node_count)
+        assert _greedy_order(g.adjacency, g.weights, live) == order
         _assert_greedy_matches_reference(g, mask)
 
     def test_empty(self):
-        assert _greedy_order([], (), 0) == []
+        assert _greedy_order((), (), []) == []
         g = from_edge_list(3, [(0, 1)], [2, 3, 4])
-        assert _greedy_order(g.neighbor_masks(), g.weights, 0) == []
+        assert _greedy_order(g.adjacency, g.weights, [0, 0, 0]) == []
 
     def test_large_doubled_graph(self):
         g = build_doubled_graph(gnp(1000, 0.005, seed=2)).graph
@@ -473,7 +460,7 @@ class TestGreedyOrderHighDegree:
         n = 2 * d + 1
         g = from_edge_list(n, edges, [1, 1] + [0] * (n - 2))
         mask = (1 << n) - 1
-        assert _greedy_order(g.neighbor_masks(), g.weights, mask) == [1, 0]
+        assert _greedy_order(g.adjacency, g.weights, _flags(mask, n)) == [1, 0]
         _assert_greedy_matches_reference(g, mask)
 
     @pytest.mark.parametrize(
@@ -512,7 +499,7 @@ class _JumpClock:
 class TestGreedyDeadline:
     def test_exact_engine_greedy_stops_at_deadline(self, monkeypatch):
         g = build_doubled_graph(gnp(400, 0.01, seed=25, weights=(1, 100))).graph
-        full = _greedy_order(g.neighbor_masks(), g.weights, _positive_mask(g.weights))
+        full = _greedy_order(g.adjacency, g.weights, [w > 0 for w in g.weights])
         assert len(full) > 256
         # the engine reads the clock at its start and sets the deadline 1 s
         # later; the greedy's first reading, after 256 picks, is 10 s
@@ -525,11 +512,11 @@ class TestGreedyDeadline:
 
     def test_deadline_not_reached_keeps_the_order(self, monkeypatch):
         g = build_doubled_graph(gnp(400, 0.01, seed=25, weights=(1, 100))).graph
-        masks, weights, mask = g.neighbor_masks(), g.weights, _positive_mask(g.weights)
-        full = _greedy_order(masks, weights, mask)
+        live = [w > 0 for w in g.weights]
+        full = _greedy_order(g.adjacency, g.weights, live)
         clock = _JumpClock()
         monkeypatch.setattr(solvers, "time", clock)
-        assert _greedy_order(masks, weights, mask, deadline=20.0) == full
+        assert _greedy_order(g.adjacency, g.weights, live, deadline=20.0) == full
         assert clock.reads == len(full) // 256
 
 
@@ -595,6 +582,72 @@ class TestMwisLocalSearch:
         assert is_independent_set(g, result.solution)
         assert set_weight(g, result.solution) == result.weight
         assert _no_improving_move(g, result.solution)
+
+
+@st.composite
+def heuristic_cases(draw, max_nodes=30):
+    """A seeded G(n, p) with zero weights, or its doubled graph; any live
+    mask; and an independent start that may hold zero-weight nodes."""
+    n = draw(st.integers(min_value=0, max_value=max_nodes))
+    p = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
+    top = draw(st.sampled_from([1, 3, 100]))
+    g = gnp(n, p, seed=draw(st.integers(0, 2**32 - 1)), weights=(0, top))
+    if draw(st.booleans()):
+        g = build_doubled_graph(g).graph
+    live = draw(st.integers(min_value=0, max_value=(1 << g.node_count) - 1))
+    start = set()
+    for v in draw(st.permutations(range(g.node_count))):
+        if draw(st.booleans()) and not set(g.adjacency[v]) & start:
+            start.add(v)
+    return g, live, frozenset(start)
+
+
+class TestHeuristicsMatchReferences:
+    """The greedy and the local search reproduce the plain rescans of
+    ``conftest`` pick for pick and move for move."""
+
+    @given(heuristic_cases())
+    @settings(deadline=None, max_examples=200)
+    def test_pick_order_moves_and_final_set(self, case):
+        g, live, start = case
+        positive = _positive_mask(g.weights)
+        # the engine passes a positive live set; any live set keeps the order
+        for mask in (positive, live & positive, live):
+            _assert_greedy_matches_reference(g, mask)
+        for begin in (mwis_greedy(g).solution, frozenset(), start):
+            result = mwis_local_search(g, begin)
+            solution, moves = reference_local_search(g, begin)
+            assert (result.solution, result.stats.search_nodes) == (solution, moves)
+            assert result.weight == set_weight(g, solution)
+
+
+class TestHeuristicsBuildNoMasks:
+    """The approx path runs on adjacency lists, in memory linear in n + m."""
+
+    def test_no_neighbor_masks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("neighbor masks built on the heuristic path")
+
+        monkeypatch.setattr(graph_module, "_build_masks", refuse)
+        g = gnp(300, 0.01, seed=3, weights=(1, 100))
+        h = build_doubled_graph(g).graph
+        greedy = mwis_greedy(h)
+        result = mwis_local_search(h, greedy.solution)
+        assert result.weight > greedy.weight
+        assert solve_approx(g).weight == result.weight
+
+
+def _sparse_graph(n, m, seed):
+    """Uniform simple graph with exactly ``m`` edges and weights 1..100,
+    drawn edge by edge in O(n + m); ``generate.gnp`` draws one number per
+    node pair, O(n^2)."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return from_edge_list(n, edges, [rng.randint(1, 100) for _ in range(n)])
 
 
 def _digest(nodes) -> str:
@@ -718,6 +771,14 @@ class TestPinnedOutputs:
         h = build_doubled_graph(g).graph
         assert _digest(mwis_exact(g).solution) == digest
         assert _digest(mwis_exact(h).solution) == doubled_digest
+
+    def test_heuristics_at_scale(self):
+        # 10^4 nodes and 2.5 * 10^4 edges, doubled to 2 * 10^4 nodes
+        h = build_doubled_graph(_sparse_graph(10_000, 25_000, seed=11)).graph
+        greedy = mwis_greedy(h)
+        result = mwis_local_search(h, greedy.solution)
+        assert (greedy.stats.search_nodes, greedy.weight) == (7033, 404738)
+        assert (result.stats.search_nodes, result.weight) == (168, 408063)
 
     def test_exact_budgeted(self):
         g = build_doubled_graph(gnp(400, 0.01, seed=25, weights=(1, 100))).graph
