@@ -125,10 +125,14 @@ def _limits(args) -> SolverLimits:
 def _parse_weights(spec: str) -> tuple[int, int] | None:
     if spec == "unit":
         return None
-    low, sep, high = spec.partition("..")
-    if not sep:
-        raise ValueError(f"bad weight spec {spec!r}, expected 'unit' or 'LOW..HIGH'")
-    return int(low), int(high)
+    # without "..", high is empty and fails int() like any other bad bound
+    low, _, high = spec.partition("..")
+    try:
+        return int(low), int(high)
+    except ValueError:
+        raise ValueError(
+            f"bad weight spec {spec!r}, expected 'unit' or 'LOW..HIGH'"
+        ) from None
 
 
 def _emit(text: str, output: Path | None) -> None:

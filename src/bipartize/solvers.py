@@ -146,6 +146,15 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     the exclude child need only search M minus {v, t}, and it re-examines
     the neighbors of both for domination.  ``stats.reductions["mirror"]``
     counts these twin exclusions.
+
+    Both per-node scans end early without changing the search.  The cover
+    bound is asked only whether it exceeds the room left, the incumbent
+    less the weight taken: it stops once its running total does, and its
+    totals never fall, so it prunes exactly where the full cover would.
+    The branch scan visits the live nodes by whole-graph degree, highest
+    first, and stops at the first degree below the best live degree found;
+    a live degree never exceeds the whole-graph degree, so no node it
+    skips could win, and it picks the node a scan of every live node would.
     """
     limits = limits or SolverLimits()
     start = time.perf_counter()
@@ -155,6 +164,7 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     h = _swap_half(masks, weights)
     lower = (1 << h) - 1
     alive = _positive_mask(weights)
+    classes = _degree_classes(g.adjacency, alive)
     zero = g.node_count - alive.bit_count()
     reductions = {"domination": 0, "zero_weight": zero, "mirror": 0}
     # greedy incumbent: cheap, deterministic, prunes most of the tree; cut
@@ -200,9 +210,10 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
             if current > best_weight:
                 best_weight, best_mask = current, chosen
             continue
-        if current + _clique_cover_bound(mask, masks, weights) <= best_weight:
+        room = best_weight - current
+        if _clique_cover_bound(mask, masks, weights, room) <= room:
             continue
-        v = _branch_node(mask, masks, weights)
+        v = _branch_node(mask, masks, weights, classes)
         dropped, dirty = 1 << v, masks[v]
         mirrored = h and mask >> h == mask & lower
         if mirrored:
@@ -246,22 +257,45 @@ def _neighborhood(nodes: int, masks: list[int]) -> int:
     return out
 
 
-def _branch_node(mask: int, masks: list[int], weights) -> int:
-    """Live node of maximum degree; ties: larger weight, then smaller index."""
+def _degree_classes(adjacency, alive: int) -> list[tuple[int, int]]:
+    """The ``alive`` nodes grouped by whole-graph degree: one (degree,
+    mask) pair per distinct degree, highest degree first."""
+    by_degree: dict[int, int] = {}
+    for v in _bits(alive):
+        d = len(adjacency[v])
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    return sorted(by_degree.items(), reverse=True)
+
+
+def _branch_node(mask: int, masks: list[int], weights, classes) -> int:
+    """Live node of maximum degree; ties: larger weight, then smaller index.
+
+    ``classes`` holds the nodes by whole-graph degree, highest first (see
+    :func:`_degree_classes`).  A live degree never exceeds a node's
+    whole-graph degree, so once a class's degree is below the best live
+    degree found so far, no node in it or in a later class can win, and
+    the scan stops.  A later class may still hold a node that ties on
+    degree and weight with a smaller index, so the index is compared.
+    """
     best_v = best_deg = best_w = -1
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        deg = (masks[v] & mask).bit_count()
-        wv = weights[v]
-        if deg > best_deg or (deg == best_deg and wv > best_w):
-            best_v, best_deg, best_w = v, deg, wv
+    for cap, members in classes:
+        if cap < best_deg:
+            break
+        m = mask & members
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            deg = (masks[v] & mask).bit_count()
+            if deg < best_deg:
+                continue
+            wv = weights[v]
+            if deg > best_deg or wv > best_w or (wv == best_w and v < best_v):
+                best_v, best_deg, best_w = v, deg, wv
     return best_v
 
 
-def _clique_cover_bound(mask: int, masks: list[int], weights) -> int:
+def _clique_cover_bound(mask: int, masks: list[int], weights, limit: int) -> int:
     """Greedy clique cover by ascending index; sums each clique's max weight.
 
     Any independent set takes at most one node per clique, so this bounds
@@ -273,9 +307,16 @@ def _clique_cover_bound(mask: int, masks: list[int], weights) -> int:
     ascending index order, so scanning the founders among v's neighbors in
     ascending order finds the same first clique as scanning every clique,
     at a cost in proportion to v's degree instead of the number of cliques.
+
+    The scan keeps a running total and returns it as soon as it exceeds
+    ``limit``.  The total never falls: a new clique adds its weight, and a
+    join can only raise a clique's maximum.  So the result exceeds
+    ``limit`` exactly when the full cover does, it equals the full cover
+    whenever that is at most ``limit``, and it never exceeds the full
+    cover.
     """
     cliques: dict[int, list[int]] = {}  # founder -> [common mask, max weight]
-    founders = 0
+    founders = total = 0
     m = mask
     while m:
         low = m & -m
@@ -289,13 +330,17 @@ def _clique_cover_bound(mask: int, masks: list[int], weights) -> int:
             if clique[0] >> v & 1:
                 clique[0] &= masks[v]
                 if wv > clique[1]:
+                    total += wv - clique[1]
                     clique[1] = wv
                 break
             cand ^= flow
         else:
             founders |= low
             cliques[v] = [masks[v], wv]
-    return sum(c[1] for c in cliques.values())
+            total += wv
+        if total > limit:
+            break
+    return total
 
 
 # ---------------------------------------------------------------------------

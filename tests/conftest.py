@@ -268,6 +268,22 @@ def reference_greedy_order(masks: list[int], weights, mask: int) -> list[int]:
     return order
 
 
+def reference_branch_node(mask: int, masks: list[int], weights) -> int:
+    """The plain branch pick: scan every live node for the maximum live
+    degree; ties: larger weight, then smaller index."""
+    best_v = best_deg = best_w = -1
+    m = mask
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        m ^= low
+        deg = (masks[v] & mask).bit_count()
+        wv = weights[v]
+        if deg > best_deg or (deg == best_deg and wv > best_w):
+            best_v, best_deg, best_w = v, deg, wv
+    return best_v
+
+
 def reference_local_search(g: WeightedGraph, start) -> tuple[frozenset[int], int]:
     """Local search by a full rescan per move: (final set, number of moves).
 

@@ -52,6 +52,13 @@ class TestGen:
     def test_unknown_family_is_usage_error(self):
         assert main(["gen", "hypercube", "--nodes", "5"]) == 2
 
+    def test_bad_weight_bound_is_usage_error(self, capsys):
+        args = ["gen", "gnp", "--nodes", "5", "--prob", "0.5", "--weights", "1..x"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "error: bad weight spec '1..x', expected 'unit' or 'LOW..HIGH'\n"
+        )
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "g.col"
         assert main(["gen", "complete", "--nodes", "4", "-o", str(out)]) == 0
@@ -200,6 +207,13 @@ class TestBench:
             row = dict(zip(header, line.split(",")))
             assert row["exact_optimal"] == "True"
             assert float(row["ratio"]) <= 1.0
+
+    def test_bad_weight_bound_is_usage_error(self, capsys):
+        args = ["bench", "--grid-n", "6", "--grid-p", "0.3", "--weights", "1..x"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "error: bad weight spec '1..x', expected 'unit' or 'LOW..HIGH'\n"
+        )
 
     def test_dir_mode(self, capsys, tmp_path, c5_file):
         corpus = tmp_path / "corpus"

@@ -29,7 +29,9 @@ from bipartize.generate import gnp
 from bipartize.graph import MAX_WEIGHT
 from bipartize.solvers import (
     _bits,
+    _branch_node,
     _clique_cover_bound,
+    _degree_classes,
     _greedy_order,
     _positive_mask,
 )
@@ -41,6 +43,7 @@ from .conftest import (
     literal_mwis,
     literal_induced_bipartite,
     mwis_bruteforce,
+    reference_branch_node,
     reference_greedy_order,
     reference_local_search,
     star_graph,
@@ -285,11 +288,11 @@ class TestLayerSwap:
         # node that dominates after the twin's removal goes unseen
         branch_node = solvers._branch_node
 
-        def checked(mask, masks, weights):
+        def checked(mask, masks, weights, classes):
             for v in _bits(mask):
                 total = sum(weights[u] for u in _bits(masks[v] & mask))
                 assert total > weights[v], f"node {v} dominates at a branch"
-            return branch_node(mask, masks, weights)
+            return branch_node(mask, masks, weights, classes)
 
         monkeypatch.setattr(solvers, "_branch_node", checked)
         mwis_exact(_swap_instance(seed, kind))
@@ -321,15 +324,20 @@ def _reference_clique_cover_bound(mask, masks, weights):
 
 
 @st.composite
-def doubled_graphs_with_live_masks(draw, max_nodes=12):
-    """A doubled graph of at most 2 * max_nodes nodes and a live mask on it."""
+def graphs_with_live_masks(
+    draw, max_nodes=12, weight=st.integers(0, 20), doubled=st.just(True)
+):
+    """A graph G of at most ``max_nodes`` nodes, or its doubled graph when
+    ``doubled`` draws true, and a live mask on it."""
     n = draw(st.integers(min_value=0, max_value=max_nodes))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [pair for pair in pairs if draw(st.booleans())]
-    weights = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
-    h = build_doubled_graph(from_edge_list(n, edges, weights)).graph
-    live = draw(st.integers(min_value=0, max_value=(1 << h.node_count) - 1))
-    return h, live
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    g = from_edge_list(n, edges, weights)
+    if draw(doubled):
+        g = build_doubled_graph(g).graph
+    live = draw(st.integers(min_value=0, max_value=(1 << g.node_count) - 1))
+    return g, live
 
 
 class TestCliqueCoverBound:
@@ -346,17 +354,55 @@ class TestCliqueCoverBound:
             for _ in range(4):
                 kept = [v for v in range(h.node_count) if rng.random() < keep]
                 lives.append(sum(1 << v for v in kept))
+        never = sum(weights)  # no cover exceeds it, so the scan never ends early
         for live in lives:
             expected = _reference_clique_cover_bound(live, masks, weights)
-            assert _clique_cover_bound(live, masks, weights) == expected
+            assert _clique_cover_bound(live, masks, weights, never) == expected
 
-    @given(doubled_graphs_with_live_masks())
+    @given(graphs_with_live_masks())
     @settings(deadline=None, max_examples=150)
     def test_bounds_the_live_optimum(self, case):
         h, live = case
         members = [v for v in range(h.node_count) if live >> v & 1]
         optimum = mwis_bruteforce(induced_subgraph(h, members)[0]).weight
-        assert _clique_cover_bound(live, h.neighbor_masks(), h.weights) >= optimum
+        never = sum(h.weights)
+        bound = _clique_cover_bound(live, h.neighbor_masks(), h.weights, never)
+        assert bound >= optimum
+
+    @given(graphs_with_live_masks(), st.integers(-5, 5), st.integers(0, 4))
+    @settings(deadline=None, max_examples=300)
+    def test_early_exit_contract(self, case, offset, scale):
+        # limits below, at and above the full cover, negative ones included
+        h, live = case
+        masks, weights = h.neighbor_masks(), h.weights
+        full = _reference_clique_cover_bound(live, masks, weights)
+        limit = full * scale // 2 + offset
+        result = _clique_cover_bound(live, masks, weights, limit)
+        if full <= limit:
+            assert result == full
+        else:
+            assert limit < result <= full
+
+
+class TestBranchNode:
+    # weights from {1, 2}, so that ties on degree and weight are common
+    @given(graphs_with_live_masks(14, st.integers(1, 2), st.booleans()))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_reference(self, case):
+        g, live = case
+        masks, weights = g.neighbor_masks(), g.weights
+        classes = _degree_classes(g.adjacency, _positive_mask(weights))
+        expected = reference_branch_node(live, masks, weights)
+        assert _branch_node(live, masks, weights, classes) == expected
+
+    def test_tie_in_a_later_class_takes_the_smaller_index(self):
+        # node 2 has whole-graph degree 2 and is scanned first; with node 4
+        # gone, nodes 0 and 2 both have live degree 1 and weight 1, and the
+        # smaller index wins although its class comes later
+        g = from_edge_list(5, [(0, 1), (2, 3), (2, 4)], [1] * 5)
+        classes = _degree_classes(g.adjacency, 0b11111)
+        assert classes[0] == (2, 0b00100)
+        assert _branch_node(0b01111, g.neighbor_masks(), g.weights, classes) == 0
 
 
 class TestMwisGreedy:
