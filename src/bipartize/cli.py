@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import generate
+from . import dimacs, generate
 from .bench import rows_to_csv, run_bench
 from .dimacs import parse_instance, parse_solution, write_instance, write_solution
 from .graph import WeightedGraph
@@ -162,6 +162,10 @@ def _cmd_gen(args) -> int:
             raise ValueError("--left and --right are required for bipartite-random")
         params["left"] = args.left
         params["right"] = args.right
+    # refuse up front what no command could read back
+    count = params["n"] if "n" in params else args.left + args.right
+    if count > dimacs.MAX_NODES:
+        raise ValueError(f"node count {count} exceeds the cap of {dimacs.MAX_NODES}")
     g = generate.generate(args.family, seed=args.seed, weights=weights, **params)
     _emit(write_instance(g), args.output)
     return EXIT_OK

@@ -442,21 +442,17 @@ def mwis_greedy(g: WeightedGraph) -> SolveResult:
     return SolveResult(frozenset(order), weight, False, stats)
 
 
-# local-search status of a node with no owner: free, or neither free nor
-# owned (selected, zero weight or tightness >= 2); an owned node's is its owner
-_FREE, _OTHER = -1, -2
-
-
 def mwis_local_search(g: WeightedGraph, start: frozenset[int] | set[int]) -> SolveResult:
     """Improve an independent set with add-moves and (1,1)- and (1,2)-swaps.
 
-    A node is free when it has positive weight, is not selected and has
-    no selected neighbor; it is owned by u when u is its only selected
-    neighbor (its tightness, the count of its selected neighbors, is 1).
-    Removing a selected node u frees exactly the nodes u owns.  Each move
-    is the first of these that exists, and only strictly improving moves
-    count, so the weight rises with every move and the search stops at a
-    local optimum:
+    A node's tightness is the count of its selected neighbors.  A node is
+    free when it has positive weight, is not selected and has tightness 0;
+    it is owned by u when it has positive weight and tightness 1 with u as
+    that one selected neighbor (a selected node has tightness 0, as the set
+    is independent).  Removing a selected node u frees exactly the nodes u
+    owns.  Each move is the first of these that exists, and only strictly
+    improving moves count, so the weight rises with every move and the
+    search stops at a local optimum:
 
     1. insert the smallest free node;
     2. else swap out the smallest owner u with an improving (1,1)-swap, for
@@ -465,19 +461,40 @@ def mwis_local_search(g: WeightedGraph, start: frozenset[int] | set[int]) -> Sol
        the first pair, in ascending order, of mutually non-adjacent nodes
        it owns whose weights add up to more than u's.
 
-    The classification is kept up to date across moves instead of being
-    rescanned (Andrade, Resende & Werneck, J. Heuristics 2012).  Each node
-    keeps its tightness and the sum of its selected neighbors' indices,
-    which names the owner at tightness 1.  A move changes these only at
-    the neighbors of the nodes it removes or inserts, so only they, and
-    the moved nodes, are reclassified.  Each owner caches its first
-    (1,1)-swap and its first (1,2)-swap and recomputes them only when its
-    owned set has changed, and then only once no free node is left.
-    Min-heaps of the free nodes and of the owners with a cached swap give
-    the next move; entries gone stale are skipped.  A move therefore costs
-    the edges at the nodes it moves plus a rescan of each owned set it
-    changes, not a pass over the whole graph, and memory stays O(n + m).
-    ``stats.search_nodes`` counts the moves.
+    The state is kept up to date across moves instead of being rescanned
+    (Andrade, Resende & Werneck, J. Heuristics 2012).  Each node keeps its
+    tightness and the sum of its selected neighbors' indices, which names
+    the owner at tightness 1.  A move changes these only at the neighbors
+    of the nodes it moves.  Owned sets are not stored: u's is read off
+    ``adjacency[u]``, already ascending, when u's cached swap is recomputed.
+
+    Each selected owner caches its first swap (see :func:`_first_swap`).
+    Once no free node is left, the swaps of the owners marked dirty since
+    the last time are recomputed; at the start every owner is dirty.  A
+    move marks the owner of each owned neighbor of a moved node twice, once
+    before the move and once after it, and so finds every owner whose
+    owned set changed.  A node's status changes only with its selection or
+    its tightness, so only at a moved node or a neighbor of one.  In a swap
+    every moved node neighbors another (u neighbors each node it swaps
+    in); an add-move inserts a free node, owned neither before nor after.
+    So a node whose status changes and that was or becomes owned neighbors
+    a moved node.  A node that leaves an owned set was owned just before
+    the move, and the first mark finds its old owner; among these is u,
+    which owned the nodes it swaps in.  A node that joins an owned set is
+    owned just after, and the second mark finds its new owner; among these
+    is each inserted node that now owns nodes.
+
+    A cached swap is ``(0, (v,))`` for a (1,1)-swap, found first, else
+    ``(1, (a, b))``; one min-heap holds ``(kind, owner)``, and entries that
+    no longer match an owner's cache are skipped.  The heap's top is the
+    smallest owner with a (1,1)-swap when there is one, else the smallest
+    with a (1,2)-swap: the move order above, since an owner's (1,2)-swap
+    can be taken only when no owner has a (1,1)-swap.  The heap of free
+    nodes skips entries selected or no longer at tightness 0; a move can
+    free only neighbors of the node it removes.  So a move costs the edges
+    at the nodes it moves plus a rescan of each owner it marks, not a pass
+    over the whole graph, and memory stays O(n + m).  ``stats.search_nodes``
+    counts the moves.
 
     Zero-weight members of ``start`` are dropped up front (they never
     affect the objective).  Raises ValueError when ``start`` is not an
@@ -498,80 +515,57 @@ def mwis_local_search(g: WeightedGraph, start: frozenset[int] | set[int]) -> Sol
             for x in adjacency[v]:
                 tight[x] += 1
                 owner_sum[x] += v
-    status = [_OTHER] * n
-    owned: dict[int, set[int]] = {}
-    free: list[int] = []
-    dirty: set[int] = set()
+    # ascending, so already a heap
+    free = [v for v in range(n) if weights[v] and not selected[v] and not tight[v]]
+    dirty = {owner_sum[x] for x in range(n) if tight[x] == 1 and weights[x]}
+    swaps: dict[int, tuple[int, tuple[int, ...]]] = {}
+    heap: list[tuple[int, int]] = []
     push, pop = heapq.heappush, heapq.heappop
-
-    def classify(x: int) -> None:
-        if selected[x] or not weights[x] or tight[x] > 1:
-            new = _OTHER
-        else:
-            new = owner_sum[x] if tight[x] else _FREE
-        old = status[x]
-        if new == old:
-            return
-        status[x] = new
-        if old >= 0:
-            group = owned[old]
-            group.discard(x)
-            if not group:
-                del owned[old]
-            dirty.add(old)
-        if new >= 0:
-            owned.setdefault(new, set()).add(x)
-            dirty.add(new)
-        elif new == _FREE:
-            push(free, x)
-
-    for v in range(n):
-        classify(v)
-    swap1: dict[int, int] = {}
-    swap2: dict[int, tuple[int, int]] = {}
-    heap1: list[int] = []
-    heap2: list[int] = []
     moves = 0
+
+    def mark_owners(nodes):
+        for v in nodes:
+            for x in adjacency[v]:
+                if tight[x] == 1 and weights[x]:
+                    dirty.add(owner_sum[x])
+
     while True:
-        while free and status[free[0]] != _FREE:
+        while free and (selected[free[0]] or tight[free[0]]):
             pop(free)
         if free:
             out, into = (), (free[0],)
         else:
             for u in dirty:
-                swap1.pop(u, None)
-                swap2.pop(u, None)
-                if u in owned:
-                    _cache_swaps(u, sorted(owned[u]), adjacency, weights, swap1, swap2)
-                    if u in swap1:
-                        push(heap1, u)
-                    if u in swap2:
-                        push(heap2, u)
+                swaps.pop(u, None)
+                if selected[u]:
+                    group = [x for x in adjacency[u] if tight[x] == 1 and weights[x]]
+                    swap = _first_swap(weights[u], group, adjacency, weights)
+                    if swap:
+                        swaps[u] = swap
+                        push(heap, (swap[0], u))
             dirty.clear()
-            while heap1 and heap1[0] not in swap1:
-                pop(heap1)
-            while heap2 and heap2[0] not in swap2:
-                pop(heap2)
-            if heap1:
-                out, into = (heap1[0],), (swap1[heap1[0]],)
-            elif heap2:
-                out, into = (heap2[0],), swap2[heap2[0]]
-            else:
+            # stale: the owner's cached swap is gone or of the other kind
+            while heap and swaps.get(heap[0][1], (-1,))[0] != heap[0][0]:
+                pop(heap)
+            if not heap:
                 break
+            u = heap[0][1]
+            out, into = (u,), swaps[u][1]
+        moved = out + into
+        mark_owners(moved)
         for u in out:
             selected[u] = 0
             for x in adjacency[u]:
                 tight[x] -= 1
                 owner_sum[x] -= u
+                if not tight[x] and weights[x]:
+                    push(free, x)
         for v in into:
             selected[v] = 1
             for x in adjacency[v]:
                 tight[x] += 1
                 owner_sum[x] += v
-        for v in out + into:
-            classify(v)
-            for x in adjacency[v]:
-                classify(x)
+        mark_owners(moved)
         moves += 1
     stats = SearchStats(search_nodes=moves)
     stats.elapsed_s = time.perf_counter() - began
@@ -580,26 +574,36 @@ def mwis_local_search(g: WeightedGraph, start: frozenset[int] | set[int]) -> Sol
     return SolveResult(frozenset(chosen), weight, False, stats)
 
 
-def _cache_swaps(
-    u: int, group: list[int], adjacency, weights, swap1: dict, swap2: dict
-) -> None:
-    """Record owner u's first improving (1,1)-swap in ``swap1`` and its
-    first improving (1,2)-swap in ``swap2``, scanning the ascending list
-    ``group`` of the nodes u owns."""
-    wu = weights[u]
+def _first_swap(
+    wu: int, group: list[int], adjacency, weights
+) -> tuple[int, tuple[int, ...]] | None:
+    """The first improving swap out of an owner of weight ``wu`` that owns
+    the ascending list ``group``: ``(0, (v,))`` for the first node that
+    outweighs it, else ``(1, (a, b))`` for the first pair, in ascending
+    order, of non-adjacent nodes whose weights add up to more, else None.
+
+    No ``a`` can pair when even the heaviest node in ``group`` does not
+    lift it above ``wu``; skipping those keeps a group that cannot pair
+    linear to scan, not quadratic.
+    """
+    top = 0
     for v in group:
-        if weights[v] > wu:
-            swap1[u] = v
-            break
+        wv = weights[v]
+        if wv > wu:
+            return 0, (v,)
+        if wv > top:
+            top = wv
     for i, a in enumerate(group):
         need = wu - weights[a]
+        if need >= top:
+            continue
         rest = [b for b in group[i + 1 :] if weights[b] > need]
         if rest:
             near = set(adjacency[a])
             for b in rest:
                 if b not in near:
-                    swap2[u] = (a, b)
-                    return
+                    return 1, (a, b)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import bipartize
+import bipartize.dimacs as dimacs
 from bipartize import build_doubled_graph, from_edge_list
 from bipartize.cli import main
 from bipartize.dimacs import parse_instance, write_instance
@@ -58,6 +59,22 @@ class TestGen:
         assert capsys.readouterr().err == (
             "error: bad weight spec '1..x', expected 'unit' or 'LOW..HIGH'\n"
         )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["cycle", "--nodes", "11"],
+            ["bipartite-random", "--left", "6", "--right", "5", "--prob", "0.5"],
+        ],
+    )
+    def test_node_count_over_cap_is_usage_error(self, capsys, monkeypatch, args):
+        # every command that reads an instance refuses more than the cap
+        monkeypatch.setattr(dimacs, "MAX_NODES", 10)
+        assert main(["gen", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: node count 11 exceeds the cap of 10\n"
+        assert main(["gen", "cycle", "--nodes", "10"]) == 0
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "g.col"

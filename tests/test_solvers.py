@@ -32,6 +32,7 @@ from bipartize.solvers import (
     _branch_node,
     _clique_cover_bound,
     _degree_classes,
+    _first_swap,
     _greedy_order,
     _positive_mask,
 )
@@ -628,6 +629,67 @@ class TestMwisLocalSearch:
         assert is_independent_set(g, result.solution)
         assert set_weight(g, result.solution) == result.weight
         assert _no_improving_move(g, result.solution)
+
+    @pytest.mark.parametrize(
+        "g,start,moves",
+        [
+            # the hub has a (1,1)-swap to 1 and a (1,2)-swap to {1, 2}; the
+            # (1,1)-swap goes first and frees 2 and 3 for two add-moves
+            (star_graph(4, [2, 3, 2, 2]), {0}, 3),
+            # owner 0 has only a (1,2)-swap to {2, 3} and owner 1 a
+            # (1,1)-swap to 4, which is adjacent to 2: the higher owner's
+            # (1,1)-swap goes first and spoils the lower owner's pair
+            (
+                from_edge_list(5, [(0, 2), (0, 3), (1, 4), (2, 4)], [3, 1, 2, 2, 2]),
+                {0, 1},
+                1,
+            ),
+        ],
+    )
+    def test_tier_order(self, g, start, moves):
+        result = mwis_local_search(g, start)
+        assert (result.solution, result.stats.search_nodes) == reference_local_search(
+            g, start
+        )
+        assert result.stats.search_nodes == moves
+
+    def test_sparse_corpus_from_empty(self):
+        # the benchmark's 24 sparse graphs (400 nodes, 800 edges) doubled;
+        # from the empty start add-moves dominate
+        for k in range(24):
+            h = build_doubled_graph(_sparse_graph(400, 800, f"sparse-{k}")).graph
+            result = mwis_local_search(h, frozenset())
+            solution, moves = reference_local_search(h, frozenset())
+            assert (result.solution, result.stats.search_nodes) == (solution, moves)
+
+
+class _CountingWeights(list):
+    def __init__(self, values):
+        super().__init__(values)
+        self.reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+class TestFirstSwap:
+    def test_kinds(self):
+        # 1 and 2 are adjacent, so the first non-adjacent pair is (1, 3)
+        adjacency = [(), (2,), (1,), ()]
+        assert _first_swap(5, [1, 2, 3], adjacency, [0, 3, 3, 3]) == (1, (1, 3))
+        assert _first_swap(5, [1, 2, 3], adjacency, [0, 3, 6, 3]) == (0, (2,))
+        assert _first_swap(5, [1, 2, 3], adjacency, [0, 2, 2, 3]) is None
+        assert _first_swap(5, [], adjacency, []) is None
+
+    def test_unpairable_group_scans_in_linear_time(self):
+        # a heavy owner of many light nodes, as the hub of a wheel: no two
+        # owned weights beat the owner's, so no pair needs to be looked at
+        size = 2000
+        weights = _CountingWeights([10**6] + [100] * size)
+        adjacency = [()] * (size + 1)
+        assert _first_swap(10**6, list(range(1, size + 1)), adjacency, weights) is None
+        assert weights.reads <= 3 * size
 
 
 @st.composite
