@@ -45,11 +45,22 @@ def parse_instance(text: str) -> WeightedGraph:
     weights: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()  # empty exactly when the stripped line is
+        if not parts:
             continue
-        parts = line.split()
         kind = parts[0]
+        # the common case first: a well-formed edge line; any other line
+        # falls through to the checks below, which name what is wrong
+        if kind == "e" and len(parts) == 3:
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                u = v = 0
+            if u != v and 0 < u <= node_count and 0 < v <= node_count:
+                edges.append((u - 1, v - 1))
+                continue
+        if kind.startswith("c"):
+            continue
         if kind == "p":
             if node_count >= 0:
                 raise ParseError("duplicate header", line_no)

@@ -113,12 +113,26 @@ def _normalized_graph(
     node_count: int, edges: Iterable[tuple[int, int]], weights: Iterable[int]
 ) -> WeightedGraph:
     """The graph of :func:`from_edge_list` without its checks: the caller
-    guarantees in-range endpoints, no self-loops and valid weights."""
-    neighbor_sets: list[set[int]] = [set() for _ in range(node_count)]
+    guarantees in-range endpoints, no self-loops and valid weights.
+
+    Each edge is appended to its two endpoints' rows.  A row whose appends
+    each exceed its last element is already strictly ascending, so only
+    the rows that break this are sorted and deduplicated.  Canonical files
+    list edges ascending with u < v, so none of their rows needs it."""
+    rows: list[list[int]] = [[] for _ in range(node_count)]
+    unsorted: set[int] = set()
     for u, v in edges:
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
-    adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
+        row = rows[u]
+        if row and row[-1] >= v:
+            unsorted.add(u)
+        row.append(v)
+        row = rows[v]
+        if row and row[-1] >= u:
+            unsorted.add(v)
+        row.append(u)
+    for v in unsorted:
+        rows[v] = sorted(set(rows[v]))
+    adjacency = tuple(map(tuple, rows))
     return WeightedGraph(node_count, adjacency, tuple(weights))
 
 

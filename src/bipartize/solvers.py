@@ -299,45 +299,45 @@ def _clique_cover_bound(mask: int, masks: list[int], weights, limit: int) -> int
     """Greedy clique cover by ascending index; sums each clique's max weight.
 
     Any independent set takes at most one node per clique, so this bounds
-    the best achievable weight inside ``mask`` from above.  Each node joins
-    the first clique, in order of creation, that it is adjacent to in
-    full, or else founds a new one.  A clique's common neighborhood lies
-    inside its founder's (first member's) neighborhood, so only a clique
-    whose founder is a neighbor of v can take v.  Founders are created in
-    ascending index order, so scanning the founders among v's neighbors in
-    ascending order finds the same first clique as scanning every clique,
-    at a cost in proportion to v's degree instead of the number of cliques.
+    the best achievable weight inside ``mask`` from above.  The cliques are
+    grown one at a time.  Each starts at the lowest node not yet covered,
+    its founder, and then keeps taking the lowest uncovered node adjacent
+    to every member so far; the members' common neighborhood among the
+    uncovered nodes holds exactly these candidates.  When it is empty, the
+    next clique starts from the lowest node left.
 
-    The scan keeps a running total and returns it as soon as it exceeds
-    ``limit``.  The total never falls: a new clique adds its weight, and a
-    join can only raise a clique's maximum.  So the result exceeds
-    ``limit`` exactly when the full cover does, it equals the full cover
-    whenever that is at most ``limit``, and it never exceeds the full
-    cover.
+    This is the partition of ascending first fit, where each node in turn
+    joins the first clique, in order of creation, that it is adjacent to in
+    full, or else founds a new one.  By induction on the node index, say
+    every node below u lies in the same clique in both schemes.  A clique
+    takes its members in ascending order, so u, if still uncovered, is
+    taken by a clique exactly when it is adjacent to all of that clique's
+    members below u: the same test first fit applies.  The cliques are
+    grown in order of their founders, so u joins the first clique that
+    passes it, as in first fit, and when none does it is the lowest node
+    left and founds the next one.
+
+    A running total is kept and returned once it exceeds ``limit``, after a
+    whole clique.  The total never falls, so the result exceeds ``limit``
+    exactly when the full cover does, it equals the full cover whenever
+    that is at most ``limit``, and it never exceeds the full cover.
     """
-    cliques: dict[int, list[int]] = {}  # founder -> [common mask, max weight]
-    founders = total = 0
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        wv = weights[v]
-        cand = masks[v] & founders
-        while cand:
-            flow = cand & -cand
-            clique = cliques[flow.bit_length() - 1]
-            if clique[0] >> v & 1:
-                clique[0] &= masks[v]
-                if wv > clique[1]:
-                    total += wv - clique[1]
-                    clique[1] = wv
-                break
-            cand ^= flow
-        else:
-            founders |= low
-            cliques[v] = [masks[v], wv]
-            total += wv
+    total = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        f = low.bit_length() - 1
+        rest ^= low
+        top = weights[f]
+        common = masks[f] & rest
+        while common:
+            low = common & -common
+            u = low.bit_length() - 1
+            rest ^= low
+            common &= masks[u]
+            if weights[u] > top:
+                top = weights[u]
+        total += top
         if total > limit:
             break
     return total

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipartize import Bipartition, BipartiteSolution, from_edge_list, solve_exact
 from bipartize.dimacs import (
@@ -92,6 +94,49 @@ class TestParseInstance:
     def test_non_integer_token(self):
         with pytest.raises(ParseError, match="expected an integer"):
             parse_instance("p edge 1 0\nv 1 heavy\n")
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("e 1 x", "expected an integer, got 'x'"),
+            ("e 2 2", "self-loop at node 2"),
+            ("e 0 5", "node id 0 out of range 1..3"),
+            ("e 1 9", "node id 9 out of range 1..3"),
+            ("e 0 2", "node id 0 out of range 1..3"),
+            ("e 2 4", "node id 4 out of range 1..3"),
+            ("e 2 0", "node id 0 out of range 1..3"),
+            ("e 1", "malformed 'e' line, expected 'e <u> <v>'"),
+        ],
+    )
+    def test_bad_edge_line_messages(self, line, message):
+        with pytest.raises(ParseError) as info:
+            parse_instance(f"p edge 3 1\n{line}\n")
+        assert str(info.value) == f"line 2: {message}"
+        assert info.value.line == 2
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_edge_order_does_not_matter(self, data):
+        # shuffled, reversed and repeated edge lines give the graph of
+        # from_edge_list, with every adjacency row strictly ascending
+        n = data.draw(st.integers(min_value=2, max_value=12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=40))
+        edges = [
+            (v, u) if data.draw(st.booleans()) else (u, v) for u, v in edges
+        ]
+        edges = data.draw(st.permutations(edges))
+        weights = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+        lines = [f"p edge {n} {len(edges)}"]
+        lines += [f"v {v + 1} {w}" for v, w in enumerate(weights)]
+        lines += [f"e {u + 1} {v + 1}" for u, v in edges]
+        g = parse_instance("\n".join(lines) + "\n")
+        assert g == from_edge_list(n, edges, weights)
+        for v, row in enumerate(g.adjacency):
+            assert all(a < b for a, b in zip(row, row[1:]))
+            assert set(row) == {b for a, b in edges if a == v} | {
+                a for a, b in edges if b == v
+            }
 
 
 class TestWriteInstance:

@@ -24,6 +24,7 @@ from bipartize import (
     mwis_local_search,
     set_weight,
     solve_approx,
+    solve_exact,
 )
 from bipartize.generate import gnp
 from bipartize.graph import MAX_WEIGHT
@@ -359,6 +360,26 @@ class TestCliqueCoverBound:
         for live in lives:
             expected = _reference_clique_cover_bound(live, masks, weights)
             assert _clique_cover_bound(live, masks, weights, never) == expected
+
+    @given(graphs_with_live_masks(doubled=st.booleans()))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_reference_on_random_live_masks(self, case):
+        h, live = case
+        masks, weights = h.neighbor_masks(), h.weights
+        never = sum(weights)
+        expected = _reference_clique_cover_bound(live, masks, weights)
+        assert _clique_cover_bound(live, masks, weights, never) == expected
+
+    def test_node_next_to_two_founders_joins_the_lower(self):
+        # 0 and 1 are not adjacent, so both found a clique; 2 is adjacent to
+        # both and joins 0's: {0, 2}, {1} weighs 5 + 1, where {0}, {1, 2}
+        # would weigh 5 + 5.  3 is adjacent to 0 but not to 2, so it is
+        # turned down by {0, 2} and founds a clique of its own.
+        g = from_edge_list(4, [(0, 2), (1, 2), (0, 3)], [5, 1, 5, 2])
+        masks, weights = g.neighbor_masks(), g.weights
+        assert _reference_clique_cover_bound(0b1111, masks, weights) == 8
+        assert _clique_cover_bound(0b1111, masks, weights, 100) == 8
+        assert _clique_cover_bound(0b0111, masks, weights, 100) == 6
 
     @given(graphs_with_live_masks())
     @settings(deadline=None, max_examples=150)
@@ -862,6 +883,15 @@ class TestPinnedOutputs:
             stats = result.stats
             assert (result.weight, stats.search_nodes, stats.reductions) == expected
             assert set_weight(h, result.solution) == result.weight
+
+    def test_exact_past_the_oracle_caps(self):
+        # 120 doubled nodes, beyond every brute-force oracle; the optimum
+        # 2,254 agrees with an independent MILP solve (HiGHS)
+        g = gnp(60, 0.1, seed=1, weights=(1, 100))
+        sol, result = solve_exact(g)
+        assert (sol.weight, result.stats.search_nodes) == (2254, 43131)
+        assert result.optimal
+        assert check_solution(g, sol) is None
 
     @pytest.mark.parametrize(
         "case,digest,doubled_digest",
