@@ -49,19 +49,40 @@ def parse_instance(text: str) -> WeightedGraph:
         if not parts:
             continue
         kind = parts[0]
-        # the common case first: a well-formed edge line; any other line
-        # falls through to the checks below, which name what is wrong
-        if kind == "e" and len(parts) == 3:
+        if kind == "e" or kind == "v":
+            if node_count < 0:
+                raise ParseError(f"{kind!r} line before header", line_no)
+            if len(parts) != 3:
+                shape = "<u> <v>" if kind == "e" else "<id> <weight>"
+                raise ParseError(
+                    f"malformed {kind!r} line, expected '{kind} {shape}'", line_no
+                )
             try:
-                u, v = int(parts[1]), int(parts[2])
+                a, b = int(parts[1]), int(parts[2])
             except ValueError:
-                u = v = 0
-            if u != v and 0 < u <= node_count and 0 < v <= node_count:
-                edges.append((u - 1, v - 1))
-                continue
-        if kind.startswith("c"):
+                # name the first token that is not an integer
+                a, b = _int(parts[1], line_no), _int(parts[2], line_no)
+            if kind == "e" and a == b:
+                raise ParseError(f"self-loop at node {a}", line_no)
+            if not 0 < a <= node_count:
+                raise ParseError(f"node id {a} out of range 1..{node_count}", line_no)
+            if kind == "e":
+                if not 0 < b <= node_count:
+                    raise ParseError(f"node id {b} out of range 1..{node_count}", line_no)
+                edges.append((a - 1, b - 1))
+            else:
+                if a - 1 in weights:
+                    raise ParseError(f"duplicate weight for node {a}", line_no)
+                if b < 0:
+                    raise ParseError(f"negative weight {b}", line_no)
+                if b > MAX_WEIGHT:
+                    raise ParseError(
+                        f"weight of node {a} exceeds {MAX_WEIGHT} ({b})", line_no
+                    )
+                weights[a - 1] = b
+        elif kind.startswith("c"):
             continue
-        if kind == "p":
+        elif kind == "p":
             if node_count >= 0:
                 raise ParseError("duplicate header", line_no)
             if len(parts) != 4 or parts[1] != "edge":
@@ -74,39 +95,6 @@ def parse_instance(text: str) -> WeightedGraph:
                     f"node count {node_count} exceeds the cap of {MAX_NODES}", line_no
                 )
             header_line = line_no
-        elif kind == "v":
-            if node_count < 0:
-                raise ParseError("'v' line before header", line_no)
-            if len(parts) != 3:
-                raise ParseError("malformed 'v' line, expected 'v <id> <weight>'", line_no)
-            node = _int(parts[1], line_no)
-            weight = _int(parts[2], line_no)
-            if not (1 <= node <= node_count):
-                raise ParseError(f"node id {node} out of range 1..{node_count}", line_no)
-            if node - 1 in weights:
-                raise ParseError(f"duplicate weight for node {node}", line_no)
-            if weight < 0:
-                raise ParseError(f"negative weight {weight}", line_no)
-            if weight > MAX_WEIGHT:
-                raise ParseError(
-                    f"weight of node {node} exceeds {MAX_WEIGHT} ({weight})", line_no
-                )
-            weights[node - 1] = weight
-        elif kind == "e":
-            if node_count < 0:
-                raise ParseError("'e' line before header", line_no)
-            if len(parts) != 3:
-                raise ParseError("malformed 'e' line, expected 'e <u> <v>'", line_no)
-            u = _int(parts[1], line_no)
-            v = _int(parts[2], line_no)
-            if u == v:
-                raise ParseError(f"self-loop at node {u}", line_no)
-            for node in (u, v):
-                if not (1 <= node <= node_count):
-                    raise ParseError(
-                        f"node id {node} out of range 1..{node_count}", line_no
-                    )
-            edges.append((u - 1, v - 1))
         else:
             raise ParseError(f"unknown line type {kind!r}", line_no)
     if node_count < 0:
@@ -131,10 +119,14 @@ def _int(token: str, line_no: int) -> int:
 def write_instance(g: WeightedGraph) -> str:
     """Canonical instance text for ``g`` (see module docstring)."""
     lines = [f"p edge {g.node_count} {g.edge_count}"]
-    for v in range(g.node_count):
-        lines.append(f"v {v + 1} {g.weights[v]}")
-    for u, v in g.edges():
-        lines.append(f"e {u + 1} {v + 1}")
+    lines.extend(f"v {v} {w}" for v, w in enumerate(g.weights, start=1))
+    # u counts from 1 and v from 0, so v >= u lists each edge once, as u < v
+    lines.extend(
+        f"e {u} {v + 1}"
+        for u, row in enumerate(g.adjacency, start=1)
+        for v in row
+        if v >= u
+    )
     return "\n".join(lines) + "\n"
 
 

@@ -13,8 +13,6 @@ from typing import Iterable
 
 from .graph import WeightedGraph, from_edge_list
 
-FAMILIES = ("gnp", "cycle", "complete", "star", "bipartite-random")
-
 DEFAULT_WEIGHT_RANGE = (1, 100)
 
 
@@ -99,6 +97,15 @@ def bipartite_random(
     return _finish(left + right, edges, weights, rng)
 
 
+FAMILIES = {
+    "gnp": gnp,
+    "cycle": cycle,
+    "complete": complete,
+    "star": star,
+    "bipartite-random": bipartite_random,
+}
+
+
 def generate(
     family: str,
     *,
@@ -108,13 +115,7 @@ def generate(
 ) -> WeightedGraph:
     """Dispatch by family name; see the individual generators for params."""
     try:
-        builder = {
-            "gnp": gnp,
-            "cycle": cycle,
-            "complete": complete,
-            "star": star,
-            "bipartite-random": bipartite_random,
-        }[family]
+        builder = FAMILIES[family]
     except KeyError:
         raise ValueError(
             f"unknown family {family!r}, expected one of {', '.join(FAMILIES)}"

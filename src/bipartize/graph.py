@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from operator import index
 from typing import Iterable, Iterator, Union
 
 MAX_WEIGHT = 2**32 - 1
@@ -42,13 +42,7 @@ class WeightedGraph:
 
     def neighbor_masks(self) -> list[int]:
         """Per-node neighborhoods as int bitmasks (bit v set iff v adjacent)."""
-        return list(self._masks)
-
-    @cached_property
-    def _masks(self) -> tuple[int, ...]:
-        # built on first use; the value depends only on the adjacency, so it
-        # is the same whichever thread computes it
-        return tuple(_build_masks(self.node_count, self.adjacency))
+        return _build_masks(self.node_count, self.adjacency)
 
 
 def _build_masks(n: int, adjacency: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -80,24 +74,38 @@ def from_edge_list(
 ) -> WeightedGraph:
     """Build a normalized graph: deduplicated, symmetrized, sorted adjacency.
 
-    Raises ValueError naming the offending item on self-loops, out-of-range
-    endpoints, bad weight counts, negative weights, or weights above 2**32-1.
+    Raises ValueError naming the offending item on a node count, endpoint
+    or weight that is not an integer (``operator.index`` refuses floats and
+    strings and accepts int-likes such as numpy integers), on self-loops,
+    out-of-range endpoints, bad weight counts, negative weights, or weights
+    above 2**32-1.
     """
+    try:
+        node_count = index(node_count)
+    except TypeError:
+        raise ValueError(f"node count must be an integer, got {node_count!r}") from None
     if node_count < 0:
         raise ValueError(f"node count must be nonnegative, got {node_count}")
-    weight_list = [int(w) for w in weights]
+    weight_list = list(weights)
     if len(weight_list) != node_count:
         raise ValueError(
             f"expected {node_count} weights, got {len(weight_list)}"
         )
     for v, w in enumerate(weight_list):
+        try:
+            w = weight_list[v] = index(w)
+        except TypeError:
+            raise ValueError(f"weight of node {v} is not an integer ({w!r})") from None
         if w < 0:
             raise ValueError(f"weight of node {v} is negative ({w})")
         if w > MAX_WEIGHT:
             raise ValueError(f"weight of node {v} exceeds {MAX_WEIGHT} ({w})")
     checked = []
     for u, v in edges:
-        u, v = int(u), int(v)
+        try:
+            u, v = index(u), index(v)
+        except TypeError:
+            raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint") from None
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) is not allowed")
         if not (0 <= u < node_count) or not (0 <= v < node_count):

@@ -114,6 +114,42 @@ class TestParseInstance:
         assert str(info.value) == f"line 2: {message}"
         assert info.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p edge 3 1\nv 1\n", "line 2: malformed 'v' line, expected 'v <id> <weight>'"),
+            ("p edge 3 1\nv x 3\n", "line 2: expected an integer, got 'x'"),
+            ("p edge 3 1\nv 1 y\n", "line 2: expected an integer, got 'y'"),
+            ("p edge 3 1\nv x y\n", "line 2: expected an integer, got 'x'"),
+            ("p edge 3 1\nv 0 y\n", "line 2: expected an integer, got 'y'"),
+            ("p edge 3 1\nv 0 5\n", "line 2: node id 0 out of range 1..3"),
+            ("p edge 3 1\nv 4 5\n", "line 2: node id 4 out of range 1..3"),
+            ("p edge 3 1\nv 4 -2\n", "line 2: node id 4 out of range 1..3"),
+            ("p edge 3 1\nv 1 -2\n", "line 2: negative weight -2"),
+            ("p edge 3 1\nv 1 5\nv 1 5\n", "line 3: duplicate weight for node 1"),
+            ("p edge 3 1\nv 1 5\nv 1 -2\n", "line 3: duplicate weight for node 1"),
+            (
+                "p edge 3 1\nv 1 4294967296\n",
+                "line 2: weight of node 1 exceeds 4294967295 (4294967296)",
+            ),
+            ("c first\nv 1 5\np edge 3 0\n", "line 2: 'v' line before header"),
+            ("v x\np edge 3 0\n", "line 1: 'v' line before header"),
+            ("e 1 x y\np edge 3 0\n", "line 1: 'e' line before header"),
+            ("p edge 3 1\ne 1 2 3\n", "line 2: malformed 'e' line, expected 'e <u> <v>'"),
+            ("p edge 3 1\nv 1 2 3\n", "line 2: malformed 'v' line, expected 'v <id> <weight>'"),
+            ("p edge 3 1\ne x 0\n", "line 2: expected an integer, got 'x'"),
+            ("p edge 3 1\ne 0 0\n", "line 2: self-loop at node 0"),
+            ("p edge 3 1\ne 4 x\n", "line 2: expected an integer, got 'x'"),
+            ("p edge 3 1\ne 1 2\ne 4 4\n", "line 3: self-loop at node 4"),
+        ],
+    )
+    def test_bad_line_messages(self, text, message):
+        # the full message, line number included, for each check of a
+        # 'v' or 'e' line and for the order in which the checks run
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert str(info.value) == message
+
     @given(st.data())
     @settings(deadline=None, max_examples=200)
     def test_edge_order_does_not_matter(self, data):

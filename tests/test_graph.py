@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bipartize.graph as graph_module
 from bipartize import (
     Bipartition,
     from_edge_list,
@@ -68,6 +67,33 @@ class TestFromEdgeList:
         # the boundary itself is fine
         assert from_edge_list(1, [], [MAX_WEIGHT]).weights == (MAX_WEIGHT,)
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((3.0, [], [1, 2, 3]), "node count must be an integer, got 3.0"),
+            ((3, [(0, 1.9), (1, 2)], [1, 2, 3]), r"edge \(0, 1.9\) has a non-integer"),
+            ((3, [(1, 2), ("0", 1)], [1, 2, 3]), r"edge \('0', 1\) has a non-integer"),
+            ((3, [], [1, 2.7, 3]), r"weight of node 1 is not an integer \(2.7\)"),
+            ((3, [], [1, 2, "3"]), r"weight of node 2 is not an integer \('3'\)"),
+        ],
+    )
+    def test_non_integer_item_rejected(self, args, message):
+        # int() would truncate 1.9 and 2.7 and parse "3"
+        with pytest.raises(ValueError, match=f"^{message}"):
+            from_edge_list(*args)
+
+    def test_int_likes_accepted_as_ints(self):
+        class Like:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        g = from_edge_list(Like(3), [(Like(0), Like(2)), (True, 2)], [Like(4), 5, True])
+        assert g == from_edge_list(3, [(0, 2), (1, 2)], [4, 5, 1])
+        assert all(type(x) is int for x in (g.node_count, *g.weights, *g.adjacency[2]))
+
     def test_weight_count_mismatch(self):
         with pytest.raises(ValueError, match="expected 3 weights"):
             from_edge_list(3, [], [1, 1])
@@ -86,7 +112,7 @@ class TestFromEdgeList:
 
 
 class TestNeighborMasks:
-    # 6 and 600 nodes: small and large graphs must take the same cached path
+    # 6 and 600 nodes: small and large graphs must give the same masks
     @pytest.mark.parametrize("g", [cycle_graph(6), cycle_graph(600), edgeless_graph(3)])
     def test_bits_match_adjacency(self, g):
         masks = g.neighbor_masks()
@@ -102,24 +128,6 @@ class TestNeighborMasks:
         first[0] = 0
         first.append(1)
         assert g.neighbor_masks() == expected
-
-    @pytest.mark.parametrize("n", [6, 600])
-    def test_built_once_per_graph(self, monkeypatch, n):
-        calls = []
-        original = graph_module._build_masks
-
-        def counting(*args):
-            calls.append(args[0])
-            return original(*args)
-
-        monkeypatch.setattr(graph_module, "_build_masks", counting)
-        g = cycle_graph(n)
-        assert calls == []
-        for _ in range(3):
-            g.neighbor_masks()
-        assert calls == [n]
-        cycle_graph(n).neighbor_masks()
-        assert calls == [n, n]
 
 
 class TestMaxDegree:

@@ -884,12 +884,17 @@ class TestPinnedOutputs:
             assert (result.weight, stats.search_nodes, stats.reductions) == expected
             assert set_weight(h, result.solution) == result.weight
 
-    def test_exact_past_the_oracle_caps(self):
-        # 120 doubled nodes, beyond every brute-force oracle; the optimum
-        # 2,254 agrees with an independent MILP solve (HiGHS)
-        g = gnp(60, 0.1, seed=1, weights=(1, 100))
+    @pytest.mark.parametrize(
+        "n,p,weight,search_nodes",
+        [(60, 0.1, 2254, 43131), (40, 0.3, 1166, 3457), (50, 0.5, 949, 6129)],
+    )
+    def test_exact_past_the_oracle_caps(self, n, p, weight, search_nodes):
+        # 80 to 120 doubled nodes, beyond every brute-force oracle; each
+        # optimum agrees with an independent MILP solve (HiGHS, with
+        # presolve on and off)
+        g = gnp(n, p, seed=1, weights=(1, 100))
         sol, result = solve_exact(g)
-        assert (sol.weight, result.stats.search_nodes) == (2254, 43131)
+        assert (sol.weight, result.stats.search_nodes) == (weight, search_nodes)
         assert result.optimal
         assert check_solution(g, sol) is None
 
