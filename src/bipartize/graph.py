@@ -144,8 +144,23 @@ def _normalized_graph(
     return WeightedGraph(node_count, adjacency, tuple(weights))
 
 
+def _node_ids(members: Iterable[int]) -> frozenset[int]:
+    """``members`` as a set of node ids.  Each is converted with
+    ``operator.index``, which refuses floats and strings and accepts
+    int-likes such as numpy integers; raises ValueError naming the first
+    item that is not an integer."""
+    ids = set()
+    add = ids.add
+    for v in members:
+        try:
+            add(index(v))
+        except TypeError:
+            raise ValueError(f"node {v!r} is not an integer") from None
+    return frozenset(ids)
+
+
 def _checked_members(g: WeightedGraph, members: Iterable[int]) -> frozenset[int]:
-    result = frozenset(int(v) for v in members)
+    result = _node_ids(members)
     for v in result:
         if not (0 <= v < g.node_count):
             raise ValueError(f"node {v} out of range for {g.node_count} nodes")

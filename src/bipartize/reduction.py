@@ -17,6 +17,7 @@ from typing import Iterable
 from .graph import (
     Bipartition,
     WeightedGraph,
+    _node_ids,
     is_independent_set,
     set_weight,
 )
@@ -70,12 +71,13 @@ def lift_independent_set(
     the set is independent in the doubled graph exactly when the lifted
     solution passes :func:`check_solution` on ``g``, the lift's one check.
 
-    Raises ValueError if ``dg`` does not match ``g`` or if ``ind_set`` is
-    not independent in the doubled graph, naming the failed condition.
+    Raises ValueError if ``dg`` does not match ``g``, if a member of
+    ``ind_set`` is not an integer, or if ``ind_set`` is not independent in
+    the doubled graph, naming the failed condition.
     """
     _check_pair(dg, g)
     n = g.node_count
-    chosen = frozenset(int(v) for v in ind_set)
+    chosen = _node_ids(ind_set)
     side_a = frozenset(v for v in chosen if v < n)
     side_b = frozenset(v - n for v in chosen if v >= n)
     node_set = side_a | side_b

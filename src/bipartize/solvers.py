@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from .graph import (
     Bipartition,
     WeightedGraph,
+    _node_ids,
     induced_subgraph,
     is_independent_set,
     two_coloring,
@@ -147,10 +148,19 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     the neighbors of both for domination.  ``stats.reductions["mirror"]``
     counts these twin exclusions.
 
+    Twin pairing.  When, besides, every node is adjacent to its twin (the
+    matching edges of a doubled graph), the cover bound counts a pair of
+    cliques whose heaviest nodes a and a' are twins as w(a) plus the larger
+    of the two cliques' second weights, not 2 w(a): a solution never holds
+    both a and a', so with one of them it takes at most a second weight
+    from the other's clique.  Scratch for this is allocated once per solve
+    (see :func:`_clique_cover_bound`).
+
     Both per-node scans end early without changing the search.  The cover
     bound is asked only whether it exceeds the room left, the incumbent
     less the weight taken: it stops once its running total does, and its
-    totals never fall, so it prunes exactly where the full cover would.
+    totals never fall (each clique, paired or not, adds a weight of at
+    least 0), so it prunes exactly where the full cover would.
     The branch scan visits the live nodes by whole-graph degree, highest
     first, and stops at the first degree below the best live degree found;
     a live degree never exceeds the whole-graph degree, so no node it
@@ -161,16 +171,18 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     budget = limits.node_budget
     deadline = None if limits.time_budget_s is None else start + limits.time_budget_s
     weights, masks = g.weights, g.neighbor_masks()
-    h = _swap_half(masks, weights)
+    h, twins = _swap_half(masks, weights)
     lower = (1 << h) - 1
+    # scratch for the cover's twin pairing, reused by every call
+    pairing = (h, [0] * h, [0] * h) if twins else None
     alive = _positive_mask(weights)
-    classes = _degree_classes(g.adjacency, alive)
+    positive = [w > 0 for w in weights]
+    classes = _degree_classes(g.adjacency, positive)
     zero = g.node_count - alive.bit_count()
     reductions = {"domination": 0, "zero_weight": zero, "mirror": 0}
     # greedy incumbent: cheap, deterministic, prunes most of the tree; cut
     # short at the deadline, when the search's first budget check stops too
     best_weight = best_mask = 0
-    positive = [w > 0 for w in weights]
     for v in _greedy_order(g.adjacency, weights, positive, deadline):
         best_mask |= 1 << v
         best_weight += weights[v]
@@ -211,7 +223,7 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
                 best_weight, best_mask = current, chosen
             continue
         room = best_weight - current
-        if _clique_cover_bound(mask, masks, weights, room) <= room:
+        if _clique_cover_bound(mask, masks, weights, room, pairing, search_nodes) <= room:
             continue
         v = _branch_node(mask, masks, weights, classes)
         dropped, dirty = 1 << v, masks[v]
@@ -230,21 +242,27 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     return SolveResult(frozenset(_bits(best_mask)), best_weight, optimal, stats)
 
 
-def _swap_half(masks: list[int], weights) -> int:
-    """n/2 when swapping the halves, v <-> v + n/2, maps the graph with
-    neighbor ``masks`` onto itself with equal ``weights``; else 0.  The swap
-    is an involution on an undirected graph, so it is enough that each low
-    node's neighbor mask, swapped, equals its twin's."""
+def _swap_half(masks: list[int], weights) -> tuple[int, bool]:
+    """(n/2, twins) when swapping the halves, v <-> v + n/2, maps the graph
+    with neighbor ``masks`` onto itself with equal ``weights``; else (0,
+    False).  The swap is an involution on an undirected graph, so it is
+    enough that each low node's neighbor mask, swapped, equals its twin's.
+    ``twins`` says whether, besides, every low node v is adjacent to its
+    twin v + n/2, as on every doubled graph (its matching edges)."""
     n = len(masks)
     h = n // 2
     if n % 2 or weights[:h] != weights[h:]:
-        return 0
+        return 0, False
     lower = (1 << h) - 1
+    twins = h > 0
     for v in range(h):
         m = masks[v]
-        if m >> h | (m & lower) << h != masks[v + h]:
-            return 0
-    return h
+        high = m >> h
+        if high | (m & lower) << h != masks[v + h]:
+            return 0, False
+        if not high >> v & 1:
+            twins = False
+    return h, twins
 
 
 def _neighborhood(nodes: int, masks: list[int]) -> int:
@@ -257,13 +275,14 @@ def _neighborhood(nodes: int, masks: list[int]) -> int:
     return out
 
 
-def _degree_classes(adjacency, alive: int) -> list[tuple[int, int]]:
-    """The ``alive`` nodes grouped by whole-graph degree: one (degree,
-    mask) pair per distinct degree, highest degree first."""
+def _degree_classes(adjacency, live) -> list[tuple[int, int]]:
+    """The nodes whose ``live`` flag is set, grouped by whole-graph degree:
+    one (degree, mask) pair per distinct degree, highest degree first."""
     by_degree: dict[int, int] = {}
-    for v in _bits(alive):
-        d = len(adjacency[v])
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    for v, nbrs in enumerate(adjacency):
+        if live[v]:
+            d = len(nbrs)
+            by_degree[d] = by_degree.get(d, 0) | 1 << v
     return sorted(by_degree.items(), reverse=True)
 
 
@@ -295,8 +314,16 @@ def _branch_node(mask: int, masks: list[int], weights, classes) -> int:
     return best_v
 
 
-def _clique_cover_bound(mask: int, masks: list[int], weights, limit: int) -> int:
-    """Greedy clique cover by ascending index; sums each clique's max weight.
+def _clique_cover_bound(
+    mask: int,
+    masks: list[int],
+    weights,
+    limit: int,
+    pairing: tuple[int, list[int], list[int]] | None = None,
+    call: int = 0,
+) -> int:
+    """Greedy clique cover by ascending index; sums each clique's max weight,
+    less what twin pairs can save.
 
     Any independent set takes at most one node per clique, so this bounds
     the best achievable weight inside ``mask`` from above.  The cliques are
@@ -317,27 +344,65 @@ def _clique_cover_bound(mask: int, masks: list[int], weights, limit: int) -> int
     passes it, as in first fit, and when none does it is the lowest node
     left and founds the next one.
 
+    Twin pairing.  ``pairing`` is given on a graph whose half swap, v <->
+    v + h, is an automorphism with equal weights and whose every low node
+    is adjacent to its twin (see :func:`_swap_half`), as on every doubled
+    graph.  It holds h and two scratch lists of h entries, zero at first,
+    and ``call`` must be positive and differ from every earlier call on
+    that scratch.  A clique's top is its first member of the largest
+    weight, and its second weight the largest among its other members (0
+    for a single node).  A clique whose top t is low opens t, recording
+    its second weight; a later clique whose top is the twin t + h of an
+    open t closes that pair and adds the larger of the two second weights
+    in place of w(t + h).  The sum stays an upper bound.  The pair's tops
+    a and a' = a + h weigh the same, w say, and are adjacent, so an
+    independent set holds at most one of them and at most one node of
+    each clique.  If it holds a, its node in the other clique is not a',
+    so it weighs at most that clique's second weight; if it holds a', the
+    same holds the other way round; if neither, it weighs at most both
+    second weights, each at most w.  So the pair adds at most w plus the
+    larger second weight.  A top lies in one clique only, so each clique
+    joins at most one pair.  On a doubled graph no pair is missed for its
+    order: the one low node adjacent to t + h is t, so a clique whose top
+    is t + h cannot hold t and was founded at a high node, after the
+    clique of t.  The stamp list holds the ``call`` that opened
+    each low top, so entries left by earlier calls never count as open and
+    nothing is cleared between calls.
+
     A running total is kept and returned once it exceeds ``limit``, after a
-    whole clique.  The total never falls, so the result exceeds ``limit``
-    exactly when the full cover does, it equals the full cover whenever
-    that is at most ``limit``, and it never exceeds the full cover.
+    whole clique.  Each clique adds a weight of at least 0, so the total
+    never falls: the result exceeds ``limit`` exactly when the full cover
+    does, it equals the full cover whenever that is at most ``limit``, and
+    it never exceeds the full cover.
     """
+    h, second, opened = pairing or (0, None, None)
     total = 0
     rest = mask
     while rest:
         low = rest & -rest
-        f = low.bit_length() - 1
+        t = low.bit_length() - 1
         rest ^= low
-        top = weights[f]
-        common = masks[f] & rest
+        top, runner_up = weights[t], 0
+        common = masks[t] & rest
         while common:
             low = common & -common
             u = low.bit_length() - 1
             rest ^= low
             common &= masks[u]
-            if weights[u] > top:
-                top = weights[u]
-        total += top
+            wu = weights[u]
+            if wu > top:
+                t, top, runner_up = u, wu, top
+            elif wu > runner_up:
+                runner_up = wu
+        if t < h:
+            second[t] = runner_up
+            opened[t] = call
+            total += top
+        elif h and opened[t - h] == call:
+            paired = second[t - h]
+            total += runner_up if runner_up > paired else paired
+        else:
+            total += top
         if total > limit:
             break
     return total
@@ -368,12 +433,14 @@ def _greedy_order(
     floors, and equal ratios get equal keys.  S adds only about
     2 log2(D+1) bits to a key, so its memory grows as log D, not with D.
 
-    A pick removes its closed neighborhood.  Each removed node lowers the
-    degree of its live neighbors by one, so only they are re-keyed and
-    pushed again, and a pick costs work in proportion to the edges at the
-    nodes it removes.  The old entries stay in the heap: keys never rise,
-    so a live node's newest entry is its smallest and pops first, and any
-    entry popped for a node no longer live is skipped.
+    A pick removes its closed neighborhood, one node at a time.  Each
+    removed node lowers the degree of the nodes still live next to it by
+    one, and each such drop pushes the node again under its new key, so a
+    pick costs work in proportion to the edges at the nodes it removes.
+    The old entries stay in the heap: keys never rise, so a live node's
+    newest entry is its smallest and pops first, and any entry popped for
+    a node no longer live is skipped, among them the entries pushed for a
+    neighbor of the pick that its removal had not reached yet.
     """
     live = bytearray(live)
     nodes = [v for v, flag in enumerate(live) if flag]
@@ -404,19 +471,16 @@ def _greedy_order(
         ):
             break
         # v's neighbors all leave with it, so only theirs lose degree
-        removed = [u for u in adjacency[v] if live[u]]
         live[v] = 0
-        for u in removed:
-            live[u] = 0
-        remaining -= len(removed) + 1
-        touched = set()
-        for r in removed:
-            for u in adjacency[r]:
-                if live[u]:
-                    degree[u] -= 1
-                    touched.add(u)
-        for u in touched:
-            push(heap, u - weights[u] * scale // (degree[u] + 1) * n)
+        remaining -= 1
+        for r in adjacency[v]:
+            if live[r]:
+                live[r] = 0
+                remaining -= 1
+                for u in adjacency[r]:
+                    if live[u]:
+                        d = degree[u] = degree[u] - 1
+                        push(heap, u - weights[u] * scale // (d + 1) * n)
     return order
 
 
@@ -497,11 +561,11 @@ def mwis_local_search(g: WeightedGraph, start: frozenset[int] | set[int]) -> Sol
     counts the moves.
 
     Zero-weight members of ``start`` are dropped up front (they never
-    affect the objective).  Raises ValueError when ``start`` is not an
-    independent set.
+    affect the objective).  Raises ValueError when a member of ``start`` is
+    not an integer or ``start`` is not an independent set.
     """
     began = time.perf_counter()
-    members = frozenset(int(v) for v in start)
+    members = _node_ids(start)
     if not is_independent_set(g, members):
         raise ValueError("start is not an independent set")
     adjacency, weights = g.adjacency, g.weights

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,6 +210,33 @@ class TestSetWeight:
         assert set_weight(g, first | second) == set_weight(g, first) + set_weight(
             g, second
         )
+
+
+class TestNodeIds:
+    """The node sets given to the graph queries hold integers."""
+
+    @pytest.mark.parametrize(
+        "query,members,bad",
+        [
+            (is_independent_set, [0.5, 1.9], "0.5"),
+            (set_weight, [1.9, 2.2], "1.9"),
+            (induced_subgraph, ["1", 2.9], "'1'"),
+        ],
+    )
+    def test_non_integer_member_rejected(self, query, members, bad):
+        # int() would read these as {0, 1}, {1, 2} and {1, 2}
+        g = from_edge_list(3, [(0, 1)], [5, 6, 7])
+        with pytest.raises(ValueError, match=f"^node {re.escape(bad)} is not an integer$"):
+            query(g, members)
+
+    def test_int_likes_accepted_as_ints(self):
+        class Like:
+            def __index__(self):
+                return 2
+
+        g = from_edge_list(3, [(0, 1)], [5, 6, 7])
+        assert set_weight(g, [Like(), True]) == 13
+        assert induced_subgraph(g, [Like()])[1] == (2,)
 
 
 class TestTwoColoring:

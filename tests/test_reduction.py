@@ -123,6 +123,12 @@ class TestLiftIndependentSet:
         with pytest.raises(ValueError, match="out of range"):
             lift_independent_set(dg, k3, {6})
 
+    def test_rejects_non_integer_member(self, k3):
+        # int() would read 1.5 as node 1, an independent set
+        dg = build_doubled_graph(k3)
+        with pytest.raises(ValueError, match=r"^node 1\.5 is not an integer$"):
+            lift_independent_set(dg, k3, [1.5])
+
     def test_rejects_mismatched_pair(self, k3, c5):
         dg = build_doubled_graph(k3)
         with pytest.raises(ValueError, match="built from"):

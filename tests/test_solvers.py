@@ -215,10 +215,13 @@ def _broken_swap(h, rng):
 
 def _swap_instance(seed, kind):
     """A seeded graph of at most 24 nodes: ``doubled``, two disjoint
-    ``copies`` of one graph, or a doubled graph whose swap is ``broken``."""
+    ``copies`` of one graph, a doubled graph with swap-symmetric cross
+    edges (``crossed``), or a doubled graph whose swap is ``broken``."""
     g = _random_instance(seed + 3000, max_n=12, zero_weights=seed % 4 == 0)
     if kind == "copies":
         return _disjoint_copies(g)
+    if kind == "crossed":
+        return _crossed(g, random.Random(seed))
     h = build_doubled_graph(g).graph
     if kind == "broken" and h.node_count:
         return _broken_swap(h, random.Random(seed))
@@ -226,7 +229,8 @@ def _swap_instance(seed, kind):
 
 
 def _half(g):
-    """The exact engine's swap check, on ``g``'s neighbor masks and weights."""
+    """The exact engine's swap check, on ``g``'s neighbor masks and weights:
+    the half h (0 for none) and whether every low node meets its twin."""
     return solvers._swap_half(g.neighbor_masks(), g.weights)
 
 
@@ -237,8 +241,9 @@ class TestLayerSwap:
     def test_detects_doubled_and_disjoint_copies(self, seed):
         g = _random_instance(seed + 3000, max_n=12)
         n = g.node_count
-        assert _half(build_doubled_graph(g).graph) == n
-        assert _half(_disjoint_copies(g)) == n
+        # the matching edges join the twins of a doubled graph, none of G + G
+        assert _half(build_doubled_graph(g).graph) == (n, n > 0)
+        assert _half(_disjoint_copies(g)) == (n, False)
 
     def test_one_weight_breaks_the_swap(self):
         h = build_doubled_graph(gnp(8, 0.3, seed=5, weights=(1, 20))).graph
@@ -247,7 +252,7 @@ class TestLayerSwap:
             weights = list(h.weights)
             weights[v] += 1
             broken = from_edge_list(h.node_count, edges, weights)
-            assert _half(broken) == 0
+            assert _half(broken) == (0, False)
 
     def test_one_edge_breaks_the_swap(self):
         g = gnp(8, 0.3, seed=5, weights=(1, 20))
@@ -258,21 +263,22 @@ class TestLayerSwap:
             for x in range(u + 1, h.node_count):
                 if x in h.adjacency[u]:
                     continue
-                # an edge {u, twin of u} is its own image under the swap
-                expected = half if x == u + half else 0
+                # every edge {u, twin of u} is already there
                 grown = from_edge_list(h.node_count, edges + [(u, x)], h.weights)
-                assert _half(grown) == expected
+                assert _half(grown) == (0, False)
         for edge in edges:
             u, x = edge
             shrunk = [e for e in edges if e != edge]
-            expected = half if x == u + half else 0
+            # an edge {u, twin of u} is its own image under the swap, so
+            # dropping one keeps the swap and loses the twins
+            expected = (half, False) if x == u + half else (0, False)
             cut = from_edge_list(h.node_count, shrunk, h.weights)
             assert _half(cut) == expected
 
     def test_odd_node_count(self):
-        assert _half(edgeless_graph(5)) == 0
+        assert _half(edgeless_graph(5)) == (0, False)
 
-    @pytest.mark.parametrize("kind", ["doubled", "copies", "broken"])
+    @pytest.mark.parametrize("kind", ["doubled", "copies", "crossed", "broken"])
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_bruteforce(self, kind, seed):
         h = _swap_instance(seed, kind)
@@ -309,35 +315,102 @@ class TestLayerSwap:
         assert mwis_exact(broken).stats.reductions["mirror"] == 0
 
 
-def _reference_clique_cover_bound(mask, masks, weights):
-    """The plain cover: each node scans every clique made so far."""
-    cliques = []  # [common neighborhood mask, max weight]
+def _reference_clique_cover_bound(mask, masks, weights, h=0):
+    """The cover, each node scanning every clique made so far.  With ``h``,
+    a clique whose heaviest node is the twin t + h of an earlier clique's
+    heaviest node t counts the larger of the two second weights in place of
+    its own heaviest; h = 0 gives the plain cover."""
+    cliques = []  # [common neighborhood mask, members]
     for v in range(mask.bit_length()):
         if not mask >> v & 1:
             continue
         for clique in cliques:
             if clique[0] >> v & 1:
                 clique[0] &= masks[v]
-                clique[1] = max(clique[1], weights[v])
+                clique[1].append(v)
                 break
         else:
-            cliques.append([masks[v], weights[v]])
-    return sum(c[1] for c in cliques)
+            cliques.append([masks[v], [v]])
+    total = 0
+    seconds = {}  # low top -> second weight of its clique
+    for _, members in cliques:
+        ranked = sorted(members, key=lambda v: (-weights[v], v))
+        top = ranked[0]
+        second = weights[ranked[1]] if len(ranked) > 1 else 0
+        if h and top - h in seconds:
+            total += max(second, seconds[top - h])
+        else:
+            total += weights[top]
+            if top < h:
+                seconds[top] = second
+    return total
+
+
+def _reference_twin_half(g):
+    """n/2 when swapping the halves maps ``g`` onto itself with equal
+    weights and every low node v is adjacent to v + n/2; else 0."""
+    n = g.node_count
+    h = n // 2
+    if n % 2 or not h:
+        return 0
+    edges = set(g.edges())
+    swap = [(v + h) % n for v in range(n)]
+    if any(g.weights[v] != g.weights[swap[v]] for v in range(n)):
+        return 0
+    if any(tuple(sorted((swap[u], swap[v]))) not in edges for u, v in edges):
+        return 0
+    return h if all((v, v + h) in edges for v in range(h)) else 0
+
+
+def _cover(g, live, limit=None, pairing=None, call=1):
+    """The engine's cover on ``g``'s live mask, with the twin pairing that
+    ``mwis_exact`` sets up (fresh scratch unless ``pairing`` is given); no
+    limit by default."""
+    masks, weights = g.neighbor_masks(), g.weights
+    h, twins = solvers._swap_half(masks, weights)
+    if twins and pairing is None:
+        pairing = (h, [0] * h, [0] * h)
+    limit = sum(weights) if limit is None else limit  # no cover exceeds the sum
+    return _clique_cover_bound(live, masks, weights, limit, pairing, call)
+
+
+def _crossed(g, rng):
+    """The doubled graph of ``g`` plus cross edges {u, x + n} taken with
+    their swap images {x, u + n}: the swap still maps it onto itself, and
+    each node still meets its twin."""
+    n = g.node_count
+    h = build_doubled_graph(g)
+    pairs = [(u, x) for u in range(n) for x in range(u + 1, n)]
+    cross = [pair for pair in pairs if rng.random() < 0.3]
+    edges = list(h.graph.edges())
+    edges += [(u, x + n) for u, x in cross] + [(x, u + n) for u, x in cross]
+    return from_edge_list(2 * n, edges, h.graph.weights)
+
+
+KINDS = ("plain", "doubled", "copies", "crossed")
 
 
 @st.composite
 def graphs_with_live_masks(
-    draw, max_nodes=12, weight=st.integers(0, 20), doubled=st.just(True)
+    draw, max_nodes=12, weight=st.integers(0, 20), kind=st.sampled_from(KINDS[1:])
 ):
-    """A graph G of at most ``max_nodes`` nodes, or its doubled graph when
-    ``doubled`` draws true, and a live mask on it."""
+    """A live mask on a graph of one ``kind``, built from a graph G of at
+    most ``max_nodes`` nodes: G itself (``plain``), its doubled graph,
+    two disjoint copies of G (a half swap without twins), or its doubled
+    graph with swap-symmetric cross edges between the layers (``crossed``).
+    """
     n = draw(st.integers(min_value=0, max_value=max_nodes))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [pair for pair in pairs if draw(st.booleans())]
     weights = draw(st.lists(weight, min_size=n, max_size=n))
     g = from_edge_list(n, edges, weights)
-    if draw(doubled):
+    shape = draw(kind)
+    if shape == "doubled":
         g = build_doubled_graph(g).graph
+    elif shape == "copies":
+        g = _disjoint_copies(g)
+    elif shape == "crossed":
+        g = _crossed(g, draw(st.randoms(use_true_random=False)))
     live = draw(st.integers(min_value=0, max_value=(1 << g.node_count) - 1))
     return g, live
 
@@ -348,7 +421,8 @@ class TestCliqueCoverBound:
     )
     def test_matches_reference(self, n, p):
         rng = random.Random(n * 1000 + int(p * 100))
-        h = build_doubled_graph(gnp(n, p, seed=n, weights=(1, 100))).graph
+        g = gnp(n, p, seed=n, weights=(1, 100))
+        h = build_doubled_graph(g).graph
         masks, weights = h.neighbor_masks(), h.weights
         full = (1 << h.node_count) - 1
         lives = [0, full]
@@ -356,19 +430,29 @@ class TestCliqueCoverBound:
             for _ in range(4):
                 kept = [v for v in range(h.node_count) if rng.random() < keep]
                 lives.append(sum(1 << v for v in kept))
-        never = sum(weights)  # no cover exceeds it, so the scan never ends early
-        for live in lives:
-            expected = _reference_clique_cover_bound(live, masks, weights)
-            assert _clique_cover_bound(live, masks, weights, never) == expected
+        # one scratch for every call, as in the engine: the stamps keep
+        # each call's pairs apart
+        pairing = (n, [0] * n, [0] * n)
+        for call, live in enumerate(lives, 1):
+            expected = _reference_clique_cover_bound(live, masks, weights, n)
+            assert _cover(h, live, pairing=pairing, call=call) == expected
+            plain = _reference_clique_cover_bound(live, masks, weights)
+            assert _clique_cover_bound(live, masks, weights, sum(weights)) == plain
+            assert expected <= plain
+        source = g.neighbor_masks()
+        for live in lives[:3]:
+            expected = _reference_clique_cover_bound(live % (1 << n), source, g.weights)
+            assert _cover(g, live % (1 << n)) == expected
 
-    @given(graphs_with_live_masks(doubled=st.booleans()))
+    @given(graphs_with_live_masks(kind=st.sampled_from(KINDS)))
     @settings(deadline=None, max_examples=300)
     def test_matches_reference_on_random_live_masks(self, case):
-        h, live = case
-        masks, weights = h.neighbor_masks(), h.weights
-        never = sum(weights)
-        expected = _reference_clique_cover_bound(live, masks, weights)
-        assert _clique_cover_bound(live, masks, weights, never) == expected
+        g, live = case
+        masks, weights = g.neighbor_masks(), g.weights
+        expected = _reference_clique_cover_bound(
+            live, masks, weights, _reference_twin_half(g)
+        )
+        assert _cover(g, live) == expected
 
     def test_node_next_to_two_founders_joins_the_lower(self):
         # 0 and 1 are not adjacent, so both found a clique; 2 is adjacent to
@@ -381,25 +465,45 @@ class TestCliqueCoverBound:
         assert _clique_cover_bound(0b1111, masks, weights, 100) == 8
         assert _clique_cover_bound(0b0111, masks, weights, 100) == 6
 
+    def test_twin_tops_count_once(self):
+        # the doubled edge: cliques {0, 1} and {2, 3}, whose tops 0 and 2
+        # are twins of weight 5; the plain cover counts 5 + 5, the pair
+        # 5 + max(3, 3) = 8, the optimum ({0, 3} or {1, 2})
+        h = build_doubled_graph(from_edge_list(2, [(0, 1)], [5, 3])).graph
+        masks, weights = h.neighbor_masks(), h.weights
+        assert _clique_cover_bound(0b1111, masks, weights, 100) == 10
+        assert _reference_clique_cover_bound(0b1111, masks, weights, 2) == 8
+        assert _cover(h, 0b1111) == 8
+        assert mwis_bruteforce(h).weight == 8
+        # two disjoint edges have the same cliques but no twins to pair
+        assert _cover(_disjoint_copies(from_edge_list(2, [(0, 1)], [5, 3])), 0b1111) == 10
+
     @given(graphs_with_live_masks())
     @settings(deadline=None, max_examples=150)
     def test_bounds_the_live_optimum(self, case):
-        h, live = case
-        members = [v for v in range(h.node_count) if live >> v & 1]
-        optimum = mwis_bruteforce(induced_subgraph(h, members)[0]).weight
-        never = sum(h.weights)
-        bound = _clique_cover_bound(live, h.neighbor_masks(), h.weights, never)
-        assert bound >= optimum
+        g, live = case
+        members = [v for v in range(g.node_count) if live >> v & 1]
+        optimum = mwis_bruteforce(induced_subgraph(g, members)[0]).weight
+        assert _cover(g, live) >= optimum
+
+    @given(graphs_with_live_masks(kind=st.sampled_from(KINDS)))
+    @settings(deadline=None, max_examples=300)
+    def test_pairing_never_loosens_the_cover(self, case):
+        g, live = case
+        masks, weights = g.neighbor_masks(), g.weights
+        assert _cover(g, live) <= _clique_cover_bound(live, masks, weights, sum(weights))
 
     @given(graphs_with_live_masks(), st.integers(-5, 5), st.integers(0, 4))
     @settings(deadline=None, max_examples=300)
     def test_early_exit_contract(self, case, offset, scale):
         # limits below, at and above the full cover, negative ones included
-        h, live = case
-        masks, weights = h.neighbor_masks(), h.weights
-        full = _reference_clique_cover_bound(live, masks, weights)
+        g, live = case
+        masks, weights = g.neighbor_masks(), g.weights
+        full = _reference_clique_cover_bound(
+            live, masks, weights, _reference_twin_half(g)
+        )
         limit = full * scale // 2 + offset
-        result = _clique_cover_bound(live, masks, weights, limit)
+        result = _cover(g, live, limit)
         if full <= limit:
             assert result == full
         else:
@@ -408,12 +512,12 @@ class TestCliqueCoverBound:
 
 class TestBranchNode:
     # weights from {1, 2}, so that ties on degree and weight are common
-    @given(graphs_with_live_masks(14, st.integers(1, 2), st.booleans()))
+    @given(graphs_with_live_masks(14, st.integers(1, 2), st.sampled_from(KINDS)))
     @settings(deadline=None, max_examples=300)
     def test_matches_reference(self, case):
         g, live = case
         masks, weights = g.neighbor_masks(), g.weights
-        classes = _degree_classes(g.adjacency, _positive_mask(weights))
+        classes = _degree_classes(g.adjacency, [w > 0 for w in weights])
         expected = reference_branch_node(live, masks, weights)
         assert _branch_node(live, masks, weights, classes) == expected
 
@@ -422,7 +526,7 @@ class TestBranchNode:
         # gone, nodes 0 and 2 both have live degree 1 and weight 1, and the
         # smaller index wins although its class comes later
         g = from_edge_list(5, [(0, 1), (2, 3), (2, 4)], [1] * 5)
-        classes = _degree_classes(g.adjacency, 0b11111)
+        classes = _degree_classes(g.adjacency, [True] * 5)
         assert classes[0] == (2, 0b00100)
         assert _branch_node(0b01111, g.neighbor_masks(), g.weights, classes) == 0
 
@@ -624,6 +728,11 @@ class TestMwisLocalSearch:
     def test_optimal_start_unchanged_weight(self, c5):
         result = mwis_local_search(c5, {0, 2})
         assert result.weight == 2
+
+    def test_rejects_non_integer_start(self, c5):
+        # int() would read 0.5 as node 0, an independent start
+        with pytest.raises(ValueError, match=r"^node 0\.5 is not an integer$"):
+            mwis_local_search(c5, {0.5})
 
     def test_rejects_dependent_start(self, k3):
         with pytest.raises(ValueError, match="not an independent set"):
@@ -853,19 +962,19 @@ class TestPinnedOutputs:
         [
             (
                 (30, 0.2, 21, (1, 100)), 689, 63, 109,
-                (1278, 573, _reductions(1131, mirror=10)),
+                (1278, 413, _reductions(769, mirror=8)),
             ),
             (
                 (36, 0.1, 22, (1, 100)), 998, 7, 24,
-                (1548, 333, _reductions(1028, mirror=10)),
+                (1548, 87, _reductions(268, mirror=3)),
             ),
             (
                 (28, 0.3, 23, (0, 5)), 25, 29, 37,
-                (48, 119, _reductions(212, zero_weight=8, mirror=9)),
+                (48, 83, _reductions(129, zero_weight=8, mirror=5)),
             ),
             (
                 (40, 0.15, 24, (1, 100)), 779, 103, 226,
-                (1413, 2875, _reductions(7181, mirror=15)),
+                (1413, 1601, _reductions(3706, mirror=7)),
             ),
         ],
     )
@@ -886,10 +995,15 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize(
         "n,p,weight,search_nodes",
-        [(60, 0.1, 2254, 43131), (40, 0.3, 1166, 3457), (50, 0.5, 949, 6129)],
+        [
+            pytest.param(60, 0.1, 2254, 13265, id="g60-p0.1"),
+            pytest.param(40, 0.3, 1166, 2377, id="g40-p0.3"),
+            pytest.param(50, 0.5, 949, 4967, id="g50-p0.5"),
+            pytest.param(70, 0.08, 2883, 43617, id="g70-p0.08"),
+        ],
     )
     def test_exact_past_the_oracle_caps(self, n, p, weight, search_nodes):
-        # 80 to 120 doubled nodes, beyond every brute-force oracle; each
+        # 80 to 140 doubled nodes, beyond every brute-force oracle; each
         # optimum agrees with an independent MILP solve (HiGHS, with
         # presolve on and off)
         g = gnp(n, p, seed=1, weights=(1, 100))
