@@ -195,9 +195,13 @@ def induced_subgraph(
 
 def is_independent_set(g: WeightedGraph, members: Iterable[int]) -> bool:
     """True iff no edge of ``g`` has both endpoints in ``members``."""
-    chosen = _checked_members(g, members)
+    return _independent(g.adjacency, _checked_members(g, members))
+
+
+def _independent(adjacency: tuple[tuple[int, ...], ...], chosen: frozenset[int]) -> bool:
+    # ``chosen`` holds in-range node ids, as _checked_members returns them
     for v in chosen:
-        for u in g.adjacency[v]:
+        for u in adjacency[v]:
             if u > v and u in chosen:
                 return False
     return True

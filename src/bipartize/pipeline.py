@@ -56,7 +56,7 @@ def _solve(
     # this module's names, so wrapping one here covers both solvers
     dg = build_doubled_graph(g)
     result = engine(dg.graph)
-    return lift_independent_set(dg, g, result.solution), result
+    return lift_independent_set(dg, result.solution), result
 
 
 def verify(g: WeightedGraph, sol: BipartiteSolution) -> tuple[bool, str]:

@@ -7,6 +7,7 @@ doubled graph correspond one-to-one with node sets of ``g`` that induce a
 bipartite subgraph: the matching edges forbid picking both copies of a
 node, and each layer contributes one independent side of the bipartition.
 Total weight is preserved in both directions, so optima transfer exactly.
+The transforms read ``g`` from the :class:`DoubledGraph` built from it.
 """
 
 from __future__ import annotations
@@ -17,18 +18,18 @@ from typing import Iterable
 from .graph import (
     Bipartition,
     WeightedGraph,
+    _checked_members,
+    _independent,
     _node_ids,
-    is_independent_set,
-    set_weight,
 )
 
 
 @dataclass(frozen=True)
 class DoubledGraph:
-    """The doubled graph plus enough provenance to undo the construction."""
+    """The doubled ``graph`` of ``source``: source node v is v and n + v there."""
 
     graph: WeightedGraph
-    source_node_count: int
+    source: WeightedGraph
 
 
 @dataclass(frozen=True)
@@ -56,26 +57,25 @@ def build_doubled_graph(g: WeightedGraph) -> DoubledGraph:
         (v, *[n + u for u in nbrs]) for v, nbrs in enumerate(g.adjacency)
     )
     doubled = WeightedGraph(2 * n, tuple(adjacency), g.weights + g.weights)
-    return DoubledGraph(doubled, n)
+    return DoubledGraph(doubled, g)
 
 
-def lift_independent_set(
-    dg: DoubledGraph, g: WeightedGraph, ind_set: Iterable[int]
-) -> BipartiteSolution:
+def lift_independent_set(dg: DoubledGraph, ind_set: Iterable[int]) -> BipartiteSolution:
     """Turn an independent set of the doubled graph into a bipartite node set.
 
     Layer-1 members become ``side_a``, layer-2 members map down to
     ``side_b``.  The matching edges make the sides disjoint, and each
-    layer's copy of the source edges makes each side independent in ``g``,
-    so the union induces a bipartite subgraph of equal total weight.  So
-    the set is independent in the doubled graph exactly when the lifted
-    solution passes :func:`check_solution` on ``g``, the lift's one check.
+    layer's copy of the source edges makes each side independent in
+    ``g = dg.source``, so the union induces a bipartite subgraph of equal
+    total weight.  So the set is independent in the doubled graph exactly
+    when the lifted solution passes :func:`check_solution` on ``g``, the
+    lift's one check.
 
-    Raises ValueError if ``dg`` does not match ``g``, if a member of
-    ``ind_set`` is not an integer, or if ``ind_set`` is not independent in
-    the doubled graph, naming the failed condition.
+    Raises ValueError if a member of ``ind_set`` is not an integer, or if
+    ``ind_set`` is not independent in the doubled graph, naming the failed
+    condition.
     """
-    _check_pair(dg, g)
+    g = dg.source
     n = g.node_count
     chosen = _node_ids(ind_set)
     side_a = frozenset(v for v in chosen if v < n)
@@ -90,10 +90,9 @@ def lift_independent_set(
     return sol
 
 
-def project_bipartite(
-    dg: DoubledGraph, g: WeightedGraph, sol: BipartiteSolution
-) -> frozenset[int]:
-    """Embed a bipartite solution as an independent set of the doubled graph.
+def project_bipartite(dg: DoubledGraph, sol: BipartiteSolution) -> frozenset[int]:
+    """Embed a bipartite solution of ``dg.source`` as an independent set of
+    the doubled graph.
 
     ``side_a`` goes to layer 1 and ``side_b`` to layer 2; the provided
     bipartition is used as-is, so solutions with several valid bipartitions
@@ -102,33 +101,36 @@ def project_bipartite(
 
     Raises ValueError naming the first violated solution invariant.
     """
-    _check_pair(dg, g)
+    g = dg.source
     _require_valid(g, sol)
     n = g.node_count
-    return frozenset(sol.bipartition.side_a) | frozenset(
-        n + v for v in sol.bipartition.side_b
-    )
+    side_b = _node_ids(sol.bipartition.side_b)
+    return _node_ids(sol.bipartition.side_a) | frozenset(n + v for v in side_b)
 
 
 def check_solution(g: WeightedGraph, sol: BipartiteSolution) -> str | None:
     """Re-derive every BipartiteSolution invariant from scratch.
 
+    Members are read as the graph queries read node ids, so int-likes count.
     Returns None when the solution is valid, otherwise a short diagnostic
     naming the first violated condition.
     """
-    side_a, side_b = sol.bipartition.side_a, sol.bipartition.side_b
-    for v in sol.node_set | side_a | side_b:
-        if not isinstance(v, int) or not (0 <= v < g.node_count):
-            return "member out of range"
+    try:
+        node_set, side_a, side_b = (
+            _checked_members(g, members)
+            for members in (sol.node_set, sol.bipartition.side_a, sol.bipartition.side_b)
+        )
+    except ValueError:
+        return "member out of range"
     if side_a & side_b:
         return "sides intersect"
-    if side_a | side_b != sol.node_set:
+    if side_a | side_b != node_set:
         return "sides do not cover node_set"
-    if not is_independent_set(g, side_a):
+    if not _independent(g.adjacency, side_a):
         return "side_a not independent"
-    if not is_independent_set(g, side_b):
+    if not _independent(g.adjacency, side_b):
         return "side_b not independent"
-    if sol.weight != set_weight(g, sol.node_set):
+    if sol.weight != sum(g.weights[v] for v in node_set):
         return "weight mismatch"
     return None
 
@@ -137,11 +139,3 @@ def _require_valid(g: WeightedGraph, sol: BipartiteSolution) -> None:
     problem = check_solution(g, sol)
     if problem is not None:
         raise ValueError(f"invalid solution: {problem}")
-
-
-def _check_pair(dg: DoubledGraph, g: WeightedGraph) -> None:
-    if dg.source_node_count != g.node_count:
-        raise ValueError(
-            f"doubled graph was built from {dg.source_node_count} nodes, "
-            f"got a graph with {g.node_count}"
-        )

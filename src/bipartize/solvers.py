@@ -60,7 +60,7 @@ class SolverLimits:
                 raise ValueError(f"{name} must be positive, got {value}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchStats:
     search_nodes: int = 0
     reductions: dict[str, int] = field(default_factory=dict)
@@ -501,8 +501,7 @@ def mwis_greedy(g: WeightedGraph) -> SolveResult:
     weights = g.weights
     order = _greedy_order(g.adjacency, weights, [w > 0 for w in weights])
     weight = sum(weights[v] for v in order)
-    stats = SearchStats(search_nodes=len(order))
-    stats.elapsed_s = time.perf_counter() - start
+    stats = SearchStats(len(order), elapsed_s=time.perf_counter() - start)
     return SolveResult(frozenset(order), weight, False, stats)
 
 
@@ -631,8 +630,7 @@ def mwis_local_search(g: WeightedGraph, start: frozenset[int] | set[int]) -> Sol
                 owner_sum[x] += v
         mark_owners(moved)
         moves += 1
-    stats = SearchStats(search_nodes=moves)
-    stats.elapsed_s = time.perf_counter() - began
+    stats = SearchStats(moves, elapsed_s=time.perf_counter() - began)
     chosen = [v for v in range(n) if selected[v]]
     weight = sum(weights[v] for v in chosen)
     return SolveResult(frozenset(chosen), weight, False, stats)

@@ -56,6 +56,23 @@ def edgeless_graph(n: int, weights=None) -> WeightedGraph:
     return from_edge_list(n, [], weights or [1] * n)
 
 
+class IntLike:
+    """A node id that is not an int but acts as one, the way numpy integers
+    do: it converts, hashes and compares as its value."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+    def __hash__(self) -> int:
+        return hash(self.value)
+
+    def __eq__(self, other) -> bool:
+        return self.value == other
+
+
 def literal_mwis(g: WeightedGraph) -> tuple[int, list[int]]:
     """Max-weight independent set by plain subset enumeration.
 
@@ -117,8 +134,7 @@ def mwis_bruteforce(g: WeightedGraph, *, max_nodes: int = 25) -> SolveResult:
         )
         states += lex_states
         solution = frozenset(_bits(chosen))
-    stats = SearchStats(search_nodes=states)
-    stats.elapsed_s = time.perf_counter() - start
+    stats = SearchStats(states, elapsed_s=time.perf_counter() - start)
     return SolveResult(solution, optimum, True, stats)
 
 

@@ -175,10 +175,10 @@ def test_c4_round_trip_preservation():
         g = gnp(rng.randint(1, 12), rng.choice([0.2, 0.5, 0.8]), seed=trial, weights=(1, 100))
         doubled = build_doubled_graph(g)
         ind = _random_independent_set(doubled.graph, rng)
-        sol = lift_independent_set(doubled, g, ind)
+        sol = lift_independent_set(doubled, ind)
         assert check_solution(g, sol) is None
         assert sol.weight == set_weight(doubled.graph, ind)
-        back = project_bipartite(doubled, g, sol)
+        back = project_bipartite(doubled, sol)
         assert back == frozenset(ind)
         assert set_weight(doubled.graph, back) == sol.weight
     for trial in range(500):
@@ -186,10 +186,10 @@ def test_c4_round_trip_preservation():
         g = gnp(rng.randint(1, 12), rng.choice([0.2, 0.5, 0.8]), seed=trial, weights=(1, 100))
         doubled = build_doubled_graph(g)
         sol = _random_bipartite_solution(g, rng)
-        projected = project_bipartite(doubled, g, sol)
+        projected = project_bipartite(doubled, sol)
         assert is_independent_set(doubled.graph, projected)
         assert set_weight(doubled.graph, projected) == sol.weight
-        lifted = lift_independent_set(doubled, g, projected)
+        lifted = lift_independent_set(doubled, projected)
         assert lifted.node_set == sol.node_set
         assert lifted.weight == sol.weight
     print("\nPASS  criterion 4: 1000 transform round trips preserve sets and weights")

@@ -19,7 +19,7 @@ from bipartize import pipeline
 from bipartize.generate import gnp
 from bipartize.solvers import SearchStats, SolveResult
 
-from .conftest import complete_graph, cycle_graph, edgeless_graph, star_graph
+from .conftest import IntLike, complete_graph, cycle_graph, edgeless_graph, star_graph
 
 
 class TestSolveExact:
@@ -100,6 +100,31 @@ class TestVerify:
             frozenset({0}), Bipartition(frozenset({0}), frozenset()), 3
         )
         assert verify(c5, sol) == (False, "weight mismatch")
+
+    @pytest.mark.parametrize(
+        "side_a,expected",
+        [({0, 2}, (True, "ok")), ({0, 1}, (False, "side_a not independent"))],
+    )
+    def test_int_like_ids(self, side_a, expected):
+        # node ids read as the graph queries read them, numpy integers too
+        g = from_edge_list(3, [(0, 1)], [5, 6, 7])
+        ids = frozenset(IntLike(v) for v in side_a)
+        weight = sum(g.weights[v] for v in side_a)
+        sol = BipartiteSolution(ids, Bipartition(ids, frozenset()), weight)
+        assert verify(g, sol) == expected
+
+    def test_index_only_ids_are_converted(self):
+        # as in TestNodeIds: no __eq__ or __hash__ of its own, so only the
+        # conversion makes two such objects one node
+        class Like:
+            def __index__(self):
+                return 2
+
+        g = from_edge_list(3, [(0, 1)], [5, 6, 7])
+        sol = BipartiteSolution(
+            frozenset({Like()}), Bipartition(frozenset({Like()}), frozenset()), 7
+        )
+        assert verify(g, sol) == (True, "ok")
 
 
 class TestOctWeight:

@@ -18,7 +18,7 @@ from bipartize import (
 )
 from bipartize.generate import gnp
 
-from .conftest import complete_graph, cycle_graph, literal_mwis, literal_induced_bipartite, star_graph
+from .conftest import IntLike, complete_graph, cycle_graph, literal_mwis, literal_induced_bipartite, star_graph
 
 
 class TestBuildDoubledGraph:
@@ -28,7 +28,7 @@ class TestBuildDoubledGraph:
         assert dg.graph.node_count == 4
         assert sorted(dg.graph.edges()) == [(0, 1), (0, 2), (1, 3), (2, 3)]
         assert dg.graph.weights == (3, 5, 3, 5)
-        assert dg.source_node_count == 2
+        assert dg.source is g
 
     def test_triangle_prism(self, k3):
         dg = build_doubled_graph(k3)
@@ -74,7 +74,7 @@ class TestBuildDoubledGraph:
 class TestLiftIndependentSet:
     def test_prism_example(self, k3):
         dg = build_doubled_graph(k3)
-        sol = lift_independent_set(dg, k3, {0, 4})
+        sol = lift_independent_set(dg, {0, 4})
         assert sol.node_set == frozenset({0, 1})
         assert sol.bipartition.side_a == frozenset({0})
         assert sol.bipartition.side_b == frozenset({1})
@@ -82,24 +82,24 @@ class TestLiftIndependentSet:
 
     def test_empty(self, k3):
         dg = build_doubled_graph(k3)
-        sol = lift_independent_set(dg, k3, set())
+        sol = lift_independent_set(dg, set())
         assert sol.node_set == frozenset()
         assert sol.weight == 0
 
     def test_weighted_edge(self):
         g = from_edge_list(2, [(0, 1)], [3, 5])
         dg = build_doubled_graph(g)
-        sol = lift_independent_set(dg, g, {0, 3})
+        sol = lift_independent_set(dg, {0, 3})
         assert sol.node_set == frozenset({0, 1})
         assert sol.weight == 8
 
     def test_rejects_dependent_set(self, k3):
         dg = build_doubled_graph(k3)
         with pytest.raises(ValueError, match="not independent"):
-            lift_independent_set(dg, k3, {0, 1})
+            lift_independent_set(dg, {0, 1})
         # both copies of one node are joined by a matching edge
         with pytest.raises(ValueError, match="not independent"):
-            lift_independent_set(dg, k3, {0, 3})
+            lift_independent_set(dg, {0, 3})
 
     @pytest.mark.parametrize(
         "members,condition",
@@ -116,23 +116,26 @@ class TestLiftIndependentSet:
             ValueError,
             match=f"^input set is not independent in the doubled graph: {condition}$",
         ):
-            lift_independent_set(dg, k3, members)
+            lift_independent_set(dg, members)
 
     def test_rejects_out_of_range(self, k3):
         dg = build_doubled_graph(k3)
         with pytest.raises(ValueError, match="out of range"):
-            lift_independent_set(dg, k3, {6})
+            lift_independent_set(dg, {6})
 
     def test_rejects_non_integer_member(self, k3):
         # int() would read 1.5 as node 1, an independent set
         dg = build_doubled_graph(k3)
         with pytest.raises(ValueError, match=r"^node 1\.5 is not an integer$"):
-            lift_independent_set(dg, k3, [1.5])
+            lift_independent_set(dg, [1.5])
 
-    def test_rejects_mismatched_pair(self, k3, c5):
+    def test_checks_against_its_own_source(self, k3):
+        # 0 and 2 are adjacent in the triangle; a lift that took the source
+        # graph as a second argument accepted this set against a 3-node
+        # graph with the one edge (0, 1)
         dg = build_doubled_graph(k3)
-        with pytest.raises(ValueError, match="built from"):
-            lift_independent_set(dg, c5, set())
+        with pytest.raises(ValueError, match="side_a not independent$"):
+            lift_independent_set(dg, {0, 2, 4})
 
 
 class TestProjectBipartite:
@@ -142,12 +145,12 @@ class TestProjectBipartite:
         sol = BipartiteSolution(
             frozenset({0, 1}), Bipartition(frozenset({0}), frozenset({1})), 8
         )
-        assert project_bipartite(dg, g, sol) == frozenset({0, 3})
+        assert project_bipartite(dg, sol) == frozenset({0, 3})
 
     def test_empty(self, k3):
         dg = build_doubled_graph(k3)
         sol = BipartiteSolution(frozenset(), Bipartition(frozenset(), frozenset()), 0)
-        assert project_bipartite(dg, k3, sol) == frozenset()
+        assert project_bipartite(dg, sol) == frozenset()
 
     def test_c5_example(self, c5):
         dg = build_doubled_graph(c5)
@@ -156,7 +159,7 @@ class TestProjectBipartite:
             Bipartition(frozenset({0, 2}), frozenset({1, 3})),
             4,
         )
-        projected = project_bipartite(dg, c5, sol)
+        projected = project_bipartite(dg, sol)
         assert projected == frozenset({0, 2, 6, 8})
         assert is_independent_set(dg.graph, projected)
         assert set_weight(dg.graph, projected) == 4
@@ -167,7 +170,7 @@ class TestProjectBipartite:
             frozenset({0}), Bipartition(frozenset({0}), frozenset({0})), 1
         )
         with pytest.raises(ValueError, match="sides intersect"):
-            project_bipartite(dg, c5, sol)
+            project_bipartite(dg, sol)
 
     def test_rejects_dependent_side(self):
         g = from_edge_list(2, [(0, 1)], [1, 1])
@@ -176,7 +179,7 @@ class TestProjectBipartite:
             frozenset({0, 1}), Bipartition(frozenset({0, 1}), frozenset()), 2
         )
         with pytest.raises(ValueError, match="side_a not independent"):
-            project_bipartite(dg, g, sol)
+            project_bipartite(dg, sol)
 
     def test_rejects_weight_mismatch(self, c5):
         dg = build_doubled_graph(c5)
@@ -184,7 +187,15 @@ class TestProjectBipartite:
             frozenset({0}), Bipartition(frozenset({0}), frozenset()), 7
         )
         with pytest.raises(ValueError, match="weight mismatch"):
-            project_bipartite(dg, c5, sol)
+            project_bipartite(dg, sol)
+
+    def test_int_like_ids_come_back_as_ints(self, c5):
+        dg = build_doubled_graph(c5)
+        side_a, side_b = frozenset({IntLike(0)}), frozenset({IntLike(2)})
+        sol = BipartiteSolution(side_a | side_b, Bipartition(side_a, side_b), 2)
+        projected = project_bipartite(dg, sol)
+        assert projected == frozenset({0, 7})
+        assert all(type(v) is int for v in projected)
 
 
 def _random_independent_set(g, rng):
@@ -220,9 +231,9 @@ class TestRoundTrips:
         g = gnp(rng.randint(1, 11), rng.choice([0.2, 0.5, 0.8]), seed=seed, weights=(1, 50))
         dg = build_doubled_graph(g)
         ind = _random_independent_set(dg.graph, rng)
-        sol = lift_independent_set(dg, g, ind)
+        sol = lift_independent_set(dg, ind)
         assert check_solution(g, sol) is None
-        back = project_bipartite(dg, g, sol)
+        back = project_bipartite(dg, sol)
         assert back == frozenset(ind)
         assert set_weight(dg.graph, back) == sol.weight == set_weight(dg.graph, ind)
 
@@ -232,9 +243,9 @@ class TestRoundTrips:
         g = gnp(rng.randint(1, 11), rng.choice([0.2, 0.5, 0.8]), seed=seed, weights=(1, 50))
         dg = build_doubled_graph(g)
         sol = _random_bipartite_solution(g, rng)
-        projected = project_bipartite(dg, g, sol)
+        projected = project_bipartite(dg, sol)
         assert is_independent_set(dg.graph, projected)
-        lifted = lift_independent_set(dg, g, projected)
+        lifted = lift_independent_set(dg, projected)
         assert lifted.node_set == sol.node_set
         assert lifted.weight == sol.weight
         assert lifted.bipartition == sol.bipartition

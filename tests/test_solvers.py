@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import random
@@ -562,6 +563,18 @@ class TestMwisGreedy:
             Fraction(g.weights[v], g.degree(v) + 1) for v in range(g.node_count)
         )
         assert Fraction(result.weight) >= bound
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [mwis_greedy, lambda g: mwis_local_search(g, frozenset()), mwis_exact],
+    ids=["greedy", "local_search", "exact"],
+)
+def test_stats_are_frozen(engine, c5):
+    stats = engine(build_doubled_graph(c5).graph).stats
+    assert stats.elapsed_s > 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stats.elapsed_s = 0.0
 
 
 def _flags(mask, n):
