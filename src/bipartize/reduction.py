@@ -69,7 +69,9 @@ def lift_independent_set(dg: DoubledGraph, ind_set: Iterable[int]) -> BipartiteS
     ``g = dg.source``, so the union induces a bipartite subgraph of equal
     total weight.  So the set is independent in the doubled graph exactly
     when the lifted solution passes :func:`check_solution` on ``g``, the
-    lift's one check.
+    lift's one check.  The ids are converted and range-checked once, here,
+    and the rest of that check runs on the converted sets; its weight test
+    holds by construction.
 
     Raises ValueError if a member of ``ind_set`` is not an integer, or if
     ``ind_set`` is not independent in the doubled graph, naming the failed
@@ -78,16 +80,17 @@ def lift_independent_set(dg: DoubledGraph, ind_set: Iterable[int]) -> BipartiteS
     g = dg.source
     n = g.node_count
     chosen = _node_ids(ind_set)
-    side_a = frozenset(v for v in chosen if v < n)
-    side_b = frozenset(v - n for v in chosen if v >= n)
-    node_set = side_a | side_b
-    # an out-of-range member fails the check before the weight is compared
-    weight = sum(g.weights[v] for v in node_set if 0 <= v < n)
-    sol = BipartiteSolution(node_set, Bipartition(side_a, side_b), weight)
-    fault = check_solution(g, sol)
+    if chosen and not (min(chosen) >= 0 and max(chosen) < 2 * n):
+        fault = "member out of range"
+    else:
+        side_a = frozenset(v for v in chosen if v < n)
+        side_b = frozenset(v - n for v in chosen if v >= n)
+        node_set = side_a | side_b
+        fault = _side_fault(g, node_set, side_a, side_b)
     if fault is not None:
         raise ValueError(f"input set is not independent in the doubled graph: {fault}")
-    return sol
+    weight = sum(g.weights[v] for v in node_set)
+    return BipartiteSolution(node_set, Bipartition(side_a, side_b), weight)
 
 
 def project_bipartite(dg: DoubledGraph, sol: BipartiteSolution) -> frozenset[int]:
@@ -122,6 +125,20 @@ def check_solution(g: WeightedGraph, sol: BipartiteSolution) -> str | None:
         )
     except ValueError:
         return "member out of range"
+    fault = _side_fault(g, node_set, side_a, side_b)
+    if fault is None and sol.weight != sum(g.weights[v] for v in node_set):
+        return "weight mismatch"
+    return fault
+
+
+def _side_fault(
+    g: WeightedGraph,
+    node_set: frozenset[int],
+    side_a: frozenset[int],
+    side_b: frozenset[int],
+) -> str | None:
+    """The side checks of :func:`check_solution`, in its order, on sets of
+    in-range node ids."""
     if side_a & side_b:
         return "sides intersect"
     if side_a | side_b != node_set:
@@ -130,8 +147,6 @@ def check_solution(g: WeightedGraph, sol: BipartiteSolution) -> str | None:
         return "side_a not independent"
     if not _independent(g.adjacency, side_b):
         return "side_b not independent"
-    if sol.weight != sum(g.weights[v] for v in node_set):
-        return "weight mismatch"
     return None
 
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from .graph import (
     Bipartition,
@@ -62,9 +64,15 @@ class SolverLimits:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Search counts of one solve.  ``reductions`` is kept as a read-only
+    copy of the mapping given, so the stats stay immutable."""
+
     search_nodes: int = 0
-    reductions: dict[str, int] = field(default_factory=dict)
+    reductions: Mapping[str, int] = field(default_factory=dict)
     elapsed_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "reductions", MappingProxyType(dict(self.reductions)))
 
 
 @dataclass(frozen=True)
@@ -100,16 +108,32 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     """Exact maximum-weight independent set by branch and reduce.
 
     Before every branch, two safe rules run to fixpoint: nodes whose weight
-    dominates their remaining neighborhood's total are taken, lowest index
-    first, and zero-weight nodes are dropped.  Domination is incremental: a
-    node's status can only change when one of its neighbors is removed, so
-    each search node re-examines only the neighbors of what was removed
-    since the last fixpoint.  Branching picks a maximum-degree node (ties:
-    larger weight, then smaller index) and explores taking it before
-    excluding it.  Pruning uses a greedy clique-cover bound.  The incumbent
-    comes from the greedy, which also stops at the time budget.  With a
-    node or time budget the search may stop early; the result is then the
-    best solution found, flagged ``optimal=False``.
+    dominates their remaining neighborhood's total are taken, lowest first,
+    and zero-weight nodes are dropped.  Domination is incremental: a node's
+    status can only change when one of its neighbors is removed, so each
+    search node re-examines only the neighbors of what was removed since
+    the last fixpoint.  Branching picks a maximum-degree node (ties: larger
+    weight, then the lower one) and explores taking it before excluding
+    it.  Pruning uses a greedy clique-cover bound.  The incumbent comes
+    from the greedy, which also stops at the time budget.  With a node or
+    time budget the search may stop early; the result is then the best
+    solution found, flagged ``optimal=False``.
+
+    Engine order.  The search runs on the nodes relabeled once per solve,
+    and "lowest", "below" and "first" here and in the helpers it calls
+    mean first in this order, not by the caller's index.  The nodes go by
+    descending weight, ties by ascending index (see :func:`_engine_order`),
+    so the cover's founders come heaviest first.  When n is even and the
+    two halves weigh alike, as on every doubled graph, only the low half
+    is sorted and each v + n/2 goes n/2 after v.  That relabeling commutes
+    with the half swap v <-> v + n/2, so the swap is an automorphism of the
+    relabeled graph exactly when it is one of the caller's, and the mirror
+    rule and the twin pairing below act on the same twins.  Otherwise
+    neither graph has the swap: it needs halves of equal weights, and the
+    sorted halves weigh alike only when every weight is equal, a case the
+    first branch takes.  The neighbor masks are built once, straight in
+    engine order.  The greedy incumbent runs on the caller's labels and is
+    mapped in, and the answer is mapped back.
 
     The search is depth first, without recursion, so its depth is not bound
     by Python's recursion limit.  The pending search nodes wait on a stack.
@@ -170,22 +194,35 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     start = time.perf_counter()
     budget = limits.node_budget
     deadline = None if limits.time_budget_s is None else start + limits.time_budget_s
-    weights, masks = g.weights, g.neighbor_masks()
+    adjacency = g.adjacency
+    positive = [w > 0 for w in g.weights]
+    # greedy incumbent: cheap, deterministic, prunes most of the tree; cut
+    # short at the deadline, when the search's first budget check stops too
+    greedy = _greedy_order(adjacency, g.weights, positive, deadline)
+    # the search runs in engine order: engine node i is the caller's order[i]
+    order = _engine_order(g.weights)
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    weights = [g.weights[v] for v in order]
+    masks = [0] * len(order)
+    for v, nbrs in enumerate(adjacency):
+        m = 0
+        for u in nbrs:
+            m |= 1 << pos[u]
+        masks[pos[v]] = m
     h, twins = _swap_half(masks, weights)
     lower = (1 << h) - 1
     # scratch for the cover's twin pairing, reused by every call
     pairing = (h, [0] * h, [0] * h) if twins else None
     alive = _positive_mask(weights)
-    positive = [w > 0 for w in weights]
-    classes = _degree_classes(g.adjacency, positive)
+    classes = _degree_classes([adjacency[v] for v in order], [positive[v] for v in order])
     zero = g.node_count - alive.bit_count()
     reductions = {"domination": 0, "zero_weight": zero, "mirror": 0}
-    # greedy incumbent: cheap, deterministic, prunes most of the tree; cut
-    # short at the deadline, when the search's first budget check stops too
     best_weight = best_mask = 0
-    for v in _greedy_order(g.adjacency, weights, positive, deadline):
-        best_mask |= 1 << v
-        best_weight += weights[v]
+    for v in greedy:
+        best_mask |= 1 << pos[v]
+        best_weight += g.weights[v]
     search_nodes, optimal = 0, True
     stack = [(alive, alive, 0, 0, False)]
     while stack:
@@ -239,7 +276,22 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
         take = (mask ^ removed, dirty, current + weights[v], chosen | 1 << v, False)
         stack.append(take)
     stats = SearchStats(search_nodes, reductions, time.perf_counter() - start)
-    return SolveResult(frozenset(_bits(best_mask)), best_weight, optimal, stats)
+    solution = frozenset(order[i] for i in _bits(best_mask))
+    return SolveResult(solution, best_weight, optimal, stats)
+
+
+def _engine_order(weights) -> list[int]:
+    """The exact engine's node order: the nodes by descending weight, ties
+    by ascending index.  When n is even and the two halves weigh alike, the
+    low half sorted so, then the high half in the same order, so that
+    v + n/2 lands n/2 after v.  ``sorted(..., reverse=True)`` is stable, so
+    the ties keep their ascending order."""
+    n = len(weights)
+    h = n // 2
+    if n % 2 == 0 and weights[:h] == weights[h:]:
+        low = sorted(range(h), key=weights.__getitem__, reverse=True)
+        return low + [v + h for v in low]
+    return sorted(range(n), key=weights.__getitem__, reverse=True)
 
 
 def _swap_half(masks: list[int], weights) -> tuple[int, bool]:
@@ -323,7 +375,10 @@ def _clique_cover_bound(
     call: int = 0,
 ) -> int:
     """Greedy clique cover by ascending index; sums each clique's max weight,
-    less what twin pairs can save.
+    less what twin pairs can save.  :func:`mwis_exact` calls it in its
+    engine order, where the nodes, or on a doubled graph the nodes of each
+    half, come by descending weight, so this is ascending first fit with
+    the heaviest founder first.
 
     Any independent set takes at most one node per clique, so this bounds
     the best achievable weight inside ``mask`` from above.  The cliques are
