@@ -12,7 +12,7 @@ The transforms read ``g`` from the :class:`DoubledGraph` built from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .graph import (
@@ -26,10 +26,27 @@ from .graph import (
 
 @dataclass(frozen=True)
 class DoubledGraph:
-    """The doubled ``graph`` of ``source``: source node v is v and n + v there."""
+    """The doubled ``graph`` of ``source``: source node v is v and n + v there.
 
-    graph: WeightedGraph
+    Only ``source`` is given; ``graph`` is built from it once, here, so the
+    two always agree.  The adjacency is written straight from the source's,
+    which is already normalized: layer-1 node v lists its neighbors then
+    n+v, layer-2 node n+v lists v then n+u for each neighbor u, so every
+    tuple stays sorted.
+    """
+
     source: WeightedGraph
+    graph: WeightedGraph = field(init=False)
+
+    def __post_init__(self) -> None:
+        g = self.source
+        n = g.node_count
+        adjacency = [(*nbrs, n + v) for v, nbrs in enumerate(g.adjacency)]
+        adjacency.extend(
+            (v, *[n + u for u in nbrs]) for v, nbrs in enumerate(g.adjacency)
+        )
+        doubled = WeightedGraph(2 * n, tuple(adjacency), g.weights + g.weights)
+        object.__setattr__(self, "graph", doubled)
 
 
 @dataclass(frozen=True)
@@ -46,18 +63,8 @@ def build_doubled_graph(g: WeightedGraph) -> DoubledGraph:
 
     The result has 2n nodes, 2|E|+n edges, maximum degree one above the
     source graph's (for nonempty sources), and duplicated weights.
-
-    The adjacency is written straight from ``g``'s, which is already
-    normalized: layer-1 node v lists its neighbors then n+v, layer-2 node
-    n+v lists v then n+u for each neighbor u, so every tuple stays sorted.
     """
-    n = g.node_count
-    adjacency = [(*nbrs, n + v) for v, nbrs in enumerate(g.adjacency)]
-    adjacency.extend(
-        (v, *[n + u for u in nbrs]) for v, nbrs in enumerate(g.adjacency)
-    )
-    doubled = WeightedGraph(2 * n, tuple(adjacency), g.weights + g.weights)
-    return DoubledGraph(doubled, g)
+    return DoubledGraph(g)
 
 
 def lift_independent_set(dg: DoubledGraph, ind_set: Iterable[int]) -> BipartiteSolution:

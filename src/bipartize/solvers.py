@@ -125,15 +125,15 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     descending weight, ties by ascending index (see :func:`_engine_order`),
     so the cover's founders come heaviest first.  When n is even and the
     two halves weigh alike, as on every doubled graph, only the low half
-    is sorted and each v + n/2 goes n/2 after v.  That relabeling commutes
-    with the half swap v <-> v + n/2, so the swap is an automorphism of the
-    relabeled graph exactly when it is one of the caller's, and the mirror
-    rule and the twin pairing below act on the same twins.  Otherwise
-    neither graph has the swap: it needs halves of equal weights, and the
-    sorted halves weigh alike only when every weight is equal, a case the
-    first branch takes.  The neighbor masks are built once, straight in
-    engine order.  The greedy incumbent runs on the caller's labels and is
-    mapped in, and the answer is mapped back.
+    is sorted and each v + n/2 goes n/2 after v.  That relabeling keeps
+    each half in place and commutes with the half swap v <-> v + n/2, so
+    the relabeled graph is a doubled graph exactly when the caller's is.
+    A graph whose halves weigh differently is no doubled graph, and nor is
+    its relabeling: sorted halves weigh alike only when every weight is
+    equal, a case the first branch takes.
+    The neighbor masks are built once, straight in engine order.  The
+    greedy incumbent runs on the caller's labels and is mapped in, and the
+    answer is mapped back.
 
     The search is depth first, without recursion, so its depth is not bound
     by Python's recursion limit.  The pending search nodes wait on a stack.
@@ -154,31 +154,32 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     A take removes its closed neighborhood and makes that neighborhood's
     neighbors dirty again.
 
-    Mirror rule.  When the swap s of the halves, v <-> v + n/2, maps the
-    graph onto itself with equal weights (as on every doubled graph, where
-    it swaps the two layers and so the two sides of the bipartition), each
-    solution has a mirror image of the same weight, and the search proves
-    only one of the two.  At a branch on v whose live set M has s(M) = M,
-    the exclude child also drops v's twin t = s(v).  This loses no weight.
-    By the stack order above, the take-v child has been searched in full
-    before the exclude child starts (on a budget stop the search ends at
-    once), so the incumbent already weighs at least as much as the nodes
-    taken so far plus any independent set inside M that holds v.  Let S be
-    an independent set inside M that holds t but not v.  Its mirror image
-    s(S) lies inside s(M) = M, is independent, holds s(t) = v and weighs
-    the same as S; no live node is adjacent to a node taken so far, so s(S)
-    completes them to a solution, one the incumbent already matches.  So
-    the exclude child need only search M minus {v, t}, and it re-examines
-    the neighbors of both for domination.  ``stats.reductions["mirror"]``
-    counts these twin exclusions.
+    Mirror rule.  On a doubled graph (see :func:`_doubling_half`) the swap
+    s of the halves, v <-> v + n/2, maps the graph onto itself with equal
+    weights: it swaps the two layers, and so the two sides of the
+    bipartition.  So each solution has a mirror image of the same weight,
+    and the search proves only one of the two.  At a branch on v whose
+    live set M has s(M) = M, the exclude child also drops v's twin
+    t = s(v).  This loses no weight.  By the stack order above, the take-v
+    child has been searched in full before the exclude child starts (on a
+    budget stop the search ends at once), so the incumbent already weighs
+    at least as much as the nodes taken so far plus any independent set
+    inside M that holds v.  Let S be an independent set inside M that
+    holds t but not v.  Its mirror image s(S) lies inside s(M) = M, is
+    independent, holds s(t) = v and weighs the same as S; no live node is
+    adjacent to a node taken so far, so s(S) completes them to a solution,
+    one the incumbent already matches.  So the exclude child need only
+    search M minus {v, t}, and it re-examines the neighbors of both for
+    domination.  ``stats.reductions["mirror"]`` counts these twin
+    exclusions.
 
-    Twin pairing.  When, besides, every node is adjacent to its twin (the
-    matching edges of a doubled graph), the cover bound counts a pair of
-    cliques whose heaviest nodes a and a' are twins as w(a) plus the larger
-    of the two cliques' second weights, not 2 w(a): a solution never holds
-    both a and a', so with one of them it takes at most a second weight
-    from the other's clique.  Scratch for this is allocated once per solve
-    (see :func:`_clique_cover_bound`).
+    Twin pairing.  On a doubled graph, whose matching edges join every node
+    to its twin, the cover bound counts a pair of cliques whose heaviest
+    nodes a and a' are twins as w(a) plus the larger of the two cliques'
+    second weights, not 2 w(a): a solution never holds both a and a', so
+    with one of them it takes at most a second weight from the other's
+    clique.  Scratch for this is allocated once per solve (see
+    :func:`_clique_cover_bound`).  On any other graph neither rule applies.
 
     Both per-node scans end early without changing the search.  The cover
     bound is asked only whether it exceeds the room left, the incumbent
@@ -211,10 +212,10 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
         for u in nbrs:
             m |= 1 << pos[u]
         masks[pos[v]] = m
-    h, twins = _swap_half(masks, weights)
+    h = _doubling_half(masks, weights)
     lower = (1 << h) - 1
     # scratch for the cover's twin pairing, reused by every call
-    pairing = (h, [0] * h, [0] * h) if twins else None
+    pairing = (h, [0] * h, [0] * h)
     alive = _positive_mask(weights)
     classes = _degree_classes([adjacency[v] for v in order], [positive[v] for v in order])
     zero = g.node_count - alive.bit_count()
@@ -294,27 +295,22 @@ def _engine_order(weights) -> list[int]:
     return sorted(range(n), key=weights.__getitem__, reverse=True)
 
 
-def _swap_half(masks: list[int], weights) -> tuple[int, bool]:
-    """(n/2, twins) when swapping the halves, v <-> v + n/2, maps the graph
-    with neighbor ``masks`` onto itself with equal ``weights``; else (0,
-    False).  The swap is an involution on an undirected graph, so it is
-    enough that each low node's neighbor mask, swapped, equals its twin's.
-    ``twins`` says whether, besides, every low node v is adjacent to its
-    twin v + n/2, as on every doubled graph (its matching edges)."""
+def _doubling_half(masks: list[int], weights) -> int:
+    """n/2 when the graph with neighbor ``masks`` and ``weights`` is the
+    doubled graph of its low half, else 0.  That is: n is even, the halves
+    weigh alike, and the neighbors of each twin v + n/2 of a low node v are
+    v and the twins of v's low neighbors.  The masks are symmetric, so each
+    low node then meets no high node but its twin.  One pass over the low
+    half, O(n + m) on the masks."""
     n = len(masks)
     h = n // 2
     if n % 2 or weights[:h] != weights[h:]:
-        return 0, False
+        return 0
     lower = (1 << h) - 1
-    twins = h > 0
     for v in range(h):
-        m = masks[v]
-        high = m >> h
-        if high | (m & lower) << h != masks[v + h]:
-            return 0, False
-        if not high >> v & 1:
-            twins = False
-    return h, twins
+        if masks[v + h] != (masks[v] & lower) << h | 1 << v:
+            return 0
+    return h
 
 
 def _neighborhood(nodes: int, masks: list[int]) -> int:
@@ -371,8 +367,8 @@ def _clique_cover_bound(
     masks: list[int],
     weights,
     limit: int,
-    pairing: tuple[int, list[int], list[int]] | None = None,
-    call: int = 0,
+    pairing: tuple[int, list[int], list[int]],
+    call: int,
 ) -> int:
     """Greedy clique cover by ascending index; sums each clique's max weight,
     less what twin pairs can save.  :func:`mwis_exact` calls it in its
@@ -399,17 +395,16 @@ def _clique_cover_bound(
     passes it, as in first fit, and when none does it is the lowest node
     left and founds the next one.
 
-    Twin pairing.  ``pairing`` is given on a graph whose half swap, v <->
-    v + h, is an automorphism with equal weights and whose every low node
-    is adjacent to its twin (see :func:`_swap_half`), as on every doubled
-    graph.  It holds h and two scratch lists of h entries, zero at first,
-    and ``call`` must be positive and differ from every earlier call on
-    that scratch.  A clique's top is its first member of the largest
-    weight, and its second weight the largest among its other members (0
-    for a single node).  A clique whose top t is low opens t, recording
-    its second weight; a later clique whose top is the twin t + h of an
-    open t closes that pair and adds the larger of the two second weights
-    in place of w(t + h).  The sum stays an upper bound.  The pair's tops
+    Twin pairing.  ``pairing`` holds h and two scratch lists of h entries,
+    zero at first.  On a doubled graph h is its half (see
+    :func:`_doubling_half`); h = 0 gives the plain cover.  ``call`` must be
+    positive and differ from every earlier call on that scratch.  A
+    clique's top is its first member of the largest weight, and its second
+    weight the largest among its other members (0 for a single node).  A
+    clique whose top t is low opens t, recording its second weight; a
+    later clique whose top is the twin t + h of an open t closes that pair
+    and adds the larger of the two second weights in place of w(t + h).
+    The sum stays an upper bound.  The pair's tops
     a and a' = a + h weigh the same, w say, and are adjacent, so an
     independent set holds at most one of them and at most one node of
     each clique.  If it holds a, its node in the other clique is not a',
@@ -417,10 +412,7 @@ def _clique_cover_bound(
     same holds the other way round; if neither, it weighs at most both
     second weights, each at most w.  So the pair adds at most w plus the
     larger second weight.  A top lies in one clique only, so each clique
-    joins at most one pair.  On a doubled graph no pair is missed for its
-    order: the one low node adjacent to t + h is t, so a clique whose top
-    is t + h cannot hold t and was founded at a high node, after the
-    clique of t.  The stamp list holds the ``call`` that opened
+    joins at most one pair.  The stamp list holds the ``call`` that opened
     each low top, so entries left by earlier calls never count as open and
     nothing is cleared between calls.
 
@@ -430,7 +422,7 @@ def _clique_cover_bound(
     does, it equals the full cover whenever that is at most ``limit``, and
     it never exceeds the full cover.
     """
-    h, second, opened = pairing or (0, None, None)
+    h, second, opened = pairing
     total = 0
     rest = mask
     while rest:

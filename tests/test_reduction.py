@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bipartize import (
     Bipartition,
     BipartiteSolution,
+    DoubledGraph,
     build_doubled_graph,
     check_solution,
     from_edge_list,
@@ -136,6 +137,18 @@ class TestLiftIndependentSet:
         dg = build_doubled_graph(k3)
         with pytest.raises(ValueError, match="side_a not independent$"):
             lift_independent_set(dg, {0, 2, 4})
+
+    def test_graph_cannot_be_paired_with_another_source(self, k3):
+        # the doubled triangle, paired by hand with a 3-node graph that has
+        # the one edge (0, 1), lifted {0, 2, 4} to a "valid" weight of 180
+        other = from_edge_list(3, [(0, 1)], [50, 60, 70])
+        with pytest.raises(TypeError):
+            lift_independent_set(DoubledGraph(build_doubled_graph(k3).graph, other), {0, 2, 4})
+        # built from its source alone, the graph agrees with the lift
+        dg = DoubledGraph(other)
+        assert dg == build_doubled_graph(other)
+        assert is_independent_set(dg.graph, {0, 2, 4})
+        assert lift_independent_set(dg, {0, 2, 4}).weight == 180
 
 
 class TestProjectBipartite:

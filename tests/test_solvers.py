@@ -229,22 +229,91 @@ def _swap_instance(seed, kind):
     return h
 
 
+def _crossed(g, rng, share=0.3):
+    """The doubled graph of ``g`` plus cross edges {u, x + n}, each pair
+    u < x taken with chance ``share``, with their swap images {x, u + n}:
+    the swap still maps it onto itself, and each node still meets its
+    twin, but it is no doubled graph once it has a cross edge."""
+    n = g.node_count
+    h = build_doubled_graph(g)
+    pairs = [(u, x) for u in range(n) for x in range(u + 1, n)]
+    cross = [pair for pair in pairs if rng.random() < share]
+    edges = list(h.graph.edges())
+    edges += [(u, x + n) for u, x in cross] + [(x, u + n) for u, x in cross]
+    return from_edge_list(2 * n, edges, h.graph.weights)
+
+
+KINDS = ("plain", "doubled", "copies", "crossed")
+
+
+@st.composite
+def graphs_with_live_masks(
+    draw, max_nodes=12, weight=st.integers(0, 20), kind=st.sampled_from(KINDS[1:])
+):
+    """A live mask on a graph of one ``kind``, built from a graph G of at
+    most ``max_nodes`` nodes: G itself (``plain``), its doubled graph,
+    two disjoint copies of G, or its doubled graph with swap-symmetric
+    cross edges between the layers (``crossed``).  Only the doubled graph
+    gets the twin pairing; the last two have the half swap all the same.
+    """
+    n = draw(st.integers(min_value=0, max_value=max_nodes))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [pair for pair in pairs if draw(st.booleans())]
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    g = from_edge_list(n, edges, weights)
+    shape = draw(kind)
+    if shape == "doubled":
+        g = build_doubled_graph(g).graph
+    elif shape == "copies":
+        g = _disjoint_copies(g)
+    elif shape == "crossed":
+        g = _crossed(g, draw(st.randoms(use_true_random=False)))
+    live = draw(st.integers(min_value=0, max_value=(1 << g.node_count) - 1))
+    return g, live
+
+
 def _half(g):
-    """The exact engine's swap check, on ``g``'s neighbor masks and weights:
-    the half h (0 for none) and whether every low node meets its twin."""
-    return solvers._swap_half(g.neighbor_masks(), g.weights)
+    """The exact engine's doubling check, on ``g``'s neighbor masks and
+    weights: the half h when ``g`` is the doubled graph of its low half,
+    else 0."""
+    return solvers._doubling_half(g.neighbor_masks(), g.weights)
+
+
+def _reference_doubling_half(g):
+    """n/2 when ``g`` equals the doubled graph of the subgraph induced by
+    its low half, weights included; else 0."""
+    n = g.node_count
+    if n % 2:
+        return 0
+    low, _ = induced_subgraph(g, range(n // 2))
+    return n // 2 if build_doubled_graph(low).graph == g else 0
 
 
 class TestLayerSwap:
-    """The mirror rule of the exact engine and the swap check behind it."""
+    """The mirror rule of the exact engine and the doubling check behind it."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_detects_doubled_and_disjoint_copies(self, seed):
-        g = _random_instance(seed + 3000, max_n=12)
+        g = _random_instance(seed + 3000, max_n=12, zero_weights=seed % 2 == 0)
         n = g.node_count
-        # the matching edges join the twins of a doubled graph, none of G + G
-        assert _half(build_doubled_graph(g).graph) == (n, n > 0)
-        assert _half(_disjoint_copies(g)) == (n, False)
+        # G + G and a crossed doubling have the half swap, but only the
+        # doubled graph is a doubling of its low half
+        assert _half(build_doubled_graph(g).graph) == n
+        assert _half(_disjoint_copies(g)) == 0
+        if n > 1:
+            assert _half(_crossed(g, random.Random(seed), share=1.0)) == 0
+
+    def test_empty_and_zero_weight_doublings(self):
+        assert _half(build_doubled_graph(edgeless_graph(0)).graph) == 0
+        g = from_edge_list(3, [(0, 1), (1, 2)], [0, 0, 0])
+        assert _half(build_doubled_graph(g).graph) == 3
+        assert _half(build_doubled_graph(edgeless_graph(4, [0, 5, 0, 5])).graph) == 4
+
+    @given(graphs_with_live_masks(kind=st.sampled_from(KINDS)))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_reference(self, case):
+        g, _ = case
+        assert _half(g) == _reference_doubling_half(g)
 
     def test_one_weight_breaks_the_swap(self):
         h = build_doubled_graph(gnp(8, 0.3, seed=5, weights=(1, 20))).graph
@@ -253,31 +322,24 @@ class TestLayerSwap:
             weights = list(h.weights)
             weights[v] += 1
             broken = from_edge_list(h.node_count, edges, weights)
-            assert _half(broken) == (0, False)
+            assert _half(broken) == 0
 
     def test_one_edge_breaks_the_swap(self):
-        g = gnp(8, 0.3, seed=5, weights=(1, 20))
-        h = build_doubled_graph(g).graph
-        half = g.node_count
+        h = build_doubled_graph(gnp(8, 0.3, seed=5, weights=(1, 20))).graph
         edges = list(h.edges())
         for u in range(h.node_count):
             for x in range(u + 1, h.node_count):
                 if x in h.adjacency[u]:
                     continue
-                # every edge {u, twin of u} is already there
                 grown = from_edge_list(h.node_count, edges + [(u, x)], h.weights)
-                assert _half(grown) == (0, False)
+                assert _half(grown) == 0
+        # matching edges included: without one, a node misses its twin
         for edge in edges:
-            u, x = edge
             shrunk = [e for e in edges if e != edge]
-            # an edge {u, twin of u} is its own image under the swap, so
-            # dropping one keeps the swap and loses the twins
-            expected = (half, False) if x == u + half else (0, False)
-            cut = from_edge_list(h.node_count, shrunk, h.weights)
-            assert _half(cut) == expected
+            assert _half(from_edge_list(h.node_count, shrunk, h.weights)) == 0
 
     def test_odd_node_count(self):
-        assert _half(edgeless_graph(5)) == (0, False)
+        assert _half(edgeless_graph(5)) == 0
 
     @pytest.mark.parametrize("kind", ["doubled", "copies", "crossed", "broken"])
     @pytest.mark.parametrize("seed", range(40))
@@ -289,6 +351,8 @@ class TestLayerSwap:
         assert result.optimal
         assert is_independent_set(h, result.solution)
         assert set_weight(h, result.solution) == result.weight
+        if not _reference_doubling_half(h):
+            assert result.stats.reductions["mirror"] == 0
 
     @pytest.mark.parametrize("kind", ["doubled", "copies"])
     @pytest.mark.parametrize("seed", range(20))
@@ -307,10 +371,11 @@ class TestLayerSwap:
         mwis_exact(_swap_instance(seed, kind))
 
     def test_rule_fires_only_on_swap_symmetric_graphs(self):
+        # only on a doubled graph: G + G has the swap too, but no rule
         g = gnp(12, 0.3, seed=7, weights=(1, 50))
         h = build_doubled_graph(g).graph
         assert mwis_exact(h).stats.reductions["mirror"] > 0
-        assert mwis_exact(_disjoint_copies(g)).stats.reductions["mirror"] > 0
+        assert mwis_exact(_disjoint_copies(g)).stats.reductions["mirror"] == 0
         assert mwis_exact(g).stats.reductions["mirror"] == 0
         broken = _broken_swap(h, random.Random(7))
         assert mwis_exact(broken).stats.reductions["mirror"] == 0
@@ -320,8 +385,8 @@ class TestLayerSwap:
 def relabel_cases(draw):
     """A graph of at most 23 nodes whose weights run from 0 to a small top,
     so that zero and tied weights are common: a doubled graph, two disjoint
-    copies of one graph, an even-n graph whose halves weigh alike but whose
-    half swap is no automorphism (``alike``), or an odd-n graph."""
+    copies of one graph, an even-n graph whose halves weigh alike but that
+    is no doubled graph (``alike``), or an odd-n graph."""
     kind = draw(st.sampled_from(["doubled", "copies", "alike", "odd"]))
     weight = st.integers(0, draw(st.sampled_from([1, 3, 20])))
     m = draw(st.integers(0, 11))
@@ -336,7 +401,7 @@ def relabel_cases(draw):
         return build_doubled_graph(g).graph
     if kind == "copies":
         return _disjoint_copies(g)
-    assume(_half(g) == (0, False))
+    assume(not _reference_doubling_half(g))
     return g
 
 
@@ -352,6 +417,8 @@ class TestEngineOrder:
         assert result.weight == mwis_bruteforce(g).weight
         assert is_independent_set(g, result.solution)
         assert set_weight(g, result.solution) == result.weight
+        if not _reference_doubling_half(g):
+            assert result.stats.reductions["mirror"] == 0
 
     @given(relabel_cases())
     @settings(deadline=None, max_examples=100)
@@ -398,20 +465,12 @@ def _reference_clique_cover_bound(mask, masks, weights, h=0):
     return total
 
 
-def _reference_twin_half(g):
-    """n/2 when swapping the halves maps ``g`` onto itself with equal
-    weights and every low node v is adjacent to v + n/2; else 0."""
-    n = g.node_count
-    h = n // 2
-    if n % 2 or not h:
-        return 0
-    edges = set(g.edges())
-    swap = [(v + h) % n for v in range(n)]
-    if any(g.weights[v] != g.weights[swap[v]] for v in range(n)):
-        return 0
-    if any(tuple(sorted((swap[u], swap[v]))) not in edges for u, v in edges):
-        return 0
-    return h if all((v, v + h) in edges for v in range(h)) else 0
+# the scratch of the plain cover: h = 0, no twins to pair
+PLAIN = (0, [], [])
+
+
+def _plain_cover(live, masks, weights, limit):
+    return _clique_cover_bound(live, masks, weights, limit, PLAIN, 1)
 
 
 def _cover(g, live, limit=None, pairing=None, call=1):
@@ -419,52 +478,11 @@ def _cover(g, live, limit=None, pairing=None, call=1):
     ``mwis_exact`` sets up (fresh scratch unless ``pairing`` is given); no
     limit by default."""
     masks, weights = g.neighbor_masks(), g.weights
-    h, twins = solvers._swap_half(masks, weights)
-    if twins and pairing is None:
+    if pairing is None:
+        h = solvers._doubling_half(masks, weights)
         pairing = (h, [0] * h, [0] * h)
     limit = sum(weights) if limit is None else limit  # no cover exceeds the sum
     return _clique_cover_bound(live, masks, weights, limit, pairing, call)
-
-
-def _crossed(g, rng):
-    """The doubled graph of ``g`` plus cross edges {u, x + n} taken with
-    their swap images {x, u + n}: the swap still maps it onto itself, and
-    each node still meets its twin."""
-    n = g.node_count
-    h = build_doubled_graph(g)
-    pairs = [(u, x) for u in range(n) for x in range(u + 1, n)]
-    cross = [pair for pair in pairs if rng.random() < 0.3]
-    edges = list(h.graph.edges())
-    edges += [(u, x + n) for u, x in cross] + [(x, u + n) for u, x in cross]
-    return from_edge_list(2 * n, edges, h.graph.weights)
-
-
-KINDS = ("plain", "doubled", "copies", "crossed")
-
-
-@st.composite
-def graphs_with_live_masks(
-    draw, max_nodes=12, weight=st.integers(0, 20), kind=st.sampled_from(KINDS[1:])
-):
-    """A live mask on a graph of one ``kind``, built from a graph G of at
-    most ``max_nodes`` nodes: G itself (``plain``), its doubled graph,
-    two disjoint copies of G (a half swap without twins), or its doubled
-    graph with swap-symmetric cross edges between the layers (``crossed``).
-    """
-    n = draw(st.integers(min_value=0, max_value=max_nodes))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = [pair for pair in pairs if draw(st.booleans())]
-    weights = draw(st.lists(weight, min_size=n, max_size=n))
-    g = from_edge_list(n, edges, weights)
-    shape = draw(kind)
-    if shape == "doubled":
-        g = build_doubled_graph(g).graph
-    elif shape == "copies":
-        g = _disjoint_copies(g)
-    elif shape == "crossed":
-        g = _crossed(g, draw(st.randoms(use_true_random=False)))
-    live = draw(st.integers(min_value=0, max_value=(1 << g.node_count) - 1))
-    return g, live
 
 
 class TestCliqueCoverBound:
@@ -489,7 +507,7 @@ class TestCliqueCoverBound:
             expected = _reference_clique_cover_bound(live, masks, weights, n)
             assert _cover(h, live, pairing=pairing, call=call) == expected
             plain = _reference_clique_cover_bound(live, masks, weights)
-            assert _clique_cover_bound(live, masks, weights, sum(weights)) == plain
+            assert _plain_cover(live, masks, weights, sum(weights)) == plain
             assert expected <= plain
         source = g.neighbor_masks()
         for live in lives[:3]:
@@ -502,7 +520,7 @@ class TestCliqueCoverBound:
         g, live = case
         masks, weights = g.neighbor_masks(), g.weights
         expected = _reference_clique_cover_bound(
-            live, masks, weights, _reference_twin_half(g)
+            live, masks, weights, _reference_doubling_half(g)
         )
         assert _cover(g, live) == expected
 
@@ -514,8 +532,8 @@ class TestCliqueCoverBound:
         g = from_edge_list(4, [(0, 2), (1, 2), (0, 3)], [5, 1, 5, 2])
         masks, weights = g.neighbor_masks(), g.weights
         assert _reference_clique_cover_bound(0b1111, masks, weights) == 8
-        assert _clique_cover_bound(0b1111, masks, weights, 100) == 8
-        assert _clique_cover_bound(0b0111, masks, weights, 100) == 6
+        assert _plain_cover(0b1111, masks, weights, 100) == 8
+        assert _plain_cover(0b0111, masks, weights, 100) == 6
 
     def test_twin_tops_count_once(self):
         # the doubled edge: cliques {0, 1} and {2, 3}, whose tops 0 and 2
@@ -523,7 +541,7 @@ class TestCliqueCoverBound:
         # 5 + max(3, 3) = 8, the optimum ({0, 3} or {1, 2})
         h = build_doubled_graph(from_edge_list(2, [(0, 1)], [5, 3])).graph
         masks, weights = h.neighbor_masks(), h.weights
-        assert _clique_cover_bound(0b1111, masks, weights, 100) == 10
+        assert _plain_cover(0b1111, masks, weights, 100) == 10
         assert _reference_clique_cover_bound(0b1111, masks, weights, 2) == 8
         assert _cover(h, 0b1111) == 8
         assert mwis_bruteforce(h).weight == 8
@@ -543,7 +561,7 @@ class TestCliqueCoverBound:
     def test_pairing_never_loosens_the_cover(self, case):
         g, live = case
         masks, weights = g.neighbor_masks(), g.weights
-        assert _cover(g, live) <= _clique_cover_bound(live, masks, weights, sum(weights))
+        assert _cover(g, live) <= _plain_cover(live, masks, weights, sum(weights))
 
     @given(graphs_with_live_masks(), st.integers(-5, 5), st.integers(0, 4))
     @settings(deadline=None, max_examples=300)
@@ -552,7 +570,7 @@ class TestCliqueCoverBound:
         g, live = case
         masks, weights = g.neighbor_masks(), g.weights
         full = _reference_clique_cover_bound(
-            live, masks, weights, _reference_twin_half(g)
+            live, masks, weights, _reference_doubling_half(g)
         )
         limit = full * scale // 2 + offset
         result = _cover(g, live, limit)
@@ -1037,21 +1055,25 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize(
         "case,weight,search_nodes,domination,doubled",
         [
-            (
+            pytest.param(
                 (30, 0.2, 21, (1, 100)), 689, 45, 80,
                 (1278, 369, _reductions(667, mirror=8)),
+                id="g30-p0.2-s21",
             ),
-            (
+            pytest.param(
                 (36, 0.1, 22, (1, 100)), 998, 7, 24,
                 (1548, 61, _reductions(179, mirror=3)),
+                id="g36-p0.1-s22",
             ),
-            (
+            pytest.param(
                 (28, 0.3, 23, (0, 5)), 25, 17, 17,
                 (48, 43, _reductions(57, zero_weight=8, mirror=3)),
+                id="g28-p0.3-s23",
             ),
-            (
+            pytest.param(
                 (40, 0.15, 24, (1, 100)), 779, 71, 143,
                 (1413, 997, _reductions(2147, mirror=8)),
+                id="g40-p0.15-s24",
             ),
         ],
     )
@@ -1094,10 +1116,22 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize(
         "case,digest,doubled_digest",
         [
-            ((30, 0.2, 21, (1, 100)), "572c1cee36f6ce35", "581e1f4fcb03e642"),
-            ((36, 0.1, 22, (1, 100)), "77699da3a8f50f33", "c7442582bcba34b5"),
-            ((28, 0.3, 23, (0, 5)), "d47fe5a088cabea1", "250b0e9b9af21d3f"),
-            ((40, 0.15, 24, (1, 100)), "79fc80eeeae0964a", "a844d48d9a0bf58b"),
+            pytest.param(
+                (30, 0.2, 21, (1, 100)), "572c1cee36f6ce35", "581e1f4fcb03e642",
+                id="g30-p0.2-s21",
+            ),
+            pytest.param(
+                (36, 0.1, 22, (1, 100)), "77699da3a8f50f33", "c7442582bcba34b5",
+                id="g36-p0.1-s22",
+            ),
+            pytest.param(
+                (28, 0.3, 23, (0, 5)), "d47fe5a088cabea1", "250b0e9b9af21d3f",
+                id="g28-p0.3-s23",
+            ),
+            pytest.param(
+                (40, 0.15, 24, (1, 100)), "79fc80eeeae0964a", "a844d48d9a0bf58b",
+                id="g40-p0.15-s24",
+            ),
         ],
     )
     def test_exact_solution(self, case, digest, doubled_digest):
