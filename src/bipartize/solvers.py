@@ -112,12 +112,15 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     and zero-weight nodes are dropped.  Domination is incremental: a node's
     status can only change when one of its neighbors is removed, so each
     search node re-examines only the neighbors of what was removed since
-    the last fixpoint.  Branching picks a maximum-degree node (ties: larger
-    weight, then the lower one) and explores taking it before excluding
-    it.  Pruning uses a greedy clique-cover bound.  The incumbent comes
-    from the greedy, which also stops at the time budget.  With a node or
-    time budget the search may stop early; the result is then the best
-    solution found, flagged ``optimal=False``.
+    the last fixpoint.  Branching picks the node of the largest integer
+    key w(v)·(d(v)+1), d(v) its live degree (ties: the lower one), and
+    explores taking it before excluding it: the greedy picks the largest
+    w/(d+1) first, and the search branches first where that ratio is
+    inverted, on heavy nodes with many live neighbors.  Pruning uses a
+    greedy clique-cover bound.  The incumbent comes from the greedy, which
+    also stops at the time budget.  With a node or time budget the search
+    may stop early; the result is then the best solution found, flagged
+    ``optimal=False``.
 
     Engine order.  The search runs on the nodes relabeled once per solve,
     and "lowest", "below" and "first" here and in the helpers it calls
@@ -186,10 +189,12 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     less the weight taken: it stops once its running total does, and its
     totals never fall (each clique, paired or not, adds a weight of at
     least 0), so it prunes exactly where the full cover would.
-    The branch scan visits the live nodes by whole-graph degree, highest
-    first, and stops at the first degree below the best live degree found;
-    a live degree never exceeds the whole-graph degree, so no node it
-    skips could win, and it picks the node a scan of every live node would.
+    The branch scan visits the live nodes by the cap w(v)·(D(v)+1), D(v)
+    the whole-graph degree, highest first, and stops at the first cap below
+    the best key found.  Every live node weighs more than 0, so it sits in
+    a class, and its live degree never exceeds D(v), so its key never
+    exceeds its cap: no node the scan skips could win, and it picks the
+    node a scan of every live node would.
     """
     limits = limits or SolverLimits()
     start = time.perf_counter()
@@ -217,7 +222,7 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     # scratch for the cover's twin pairing, reused by every call
     pairing = (h, [0] * h, [0] * h)
     alive = _positive_mask(weights)
-    classes = _degree_classes([adjacency[v] for v in order], [positive[v] for v in order])
+    classes = _branch_classes(masks, weights)
     zero = g.node_count - alive.bit_count()
     reductions = {"domination": 0, "zero_weight": zero, "mirror": 0}
     best_weight = best_mask = 0
@@ -323,42 +328,42 @@ def _neighborhood(nodes: int, masks: list[int]) -> int:
     return out
 
 
-def _degree_classes(adjacency, live) -> list[tuple[int, int]]:
-    """The nodes whose ``live`` flag is set, grouped by whole-graph degree:
-    one (degree, mask) pair per distinct degree, highest degree first."""
-    by_degree: dict[int, int] = {}
-    for v, nbrs in enumerate(adjacency):
-        if live[v]:
-            d = len(nbrs)
-            by_degree[d] = by_degree.get(d, 0) | 1 << v
-    return sorted(by_degree.items(), reverse=True)
+def _branch_classes(masks: list[int], weights) -> list[tuple[int, int]]:
+    """The positive-weight nodes grouped by their key's cap w(v)·(D(v)+1),
+    D(v) the whole-graph degree: one (cap, mask) pair per distinct cap,
+    highest cap first."""
+    by_cap: dict[int, int] = {}
+    for v, w in enumerate(weights):
+        if w > 0:
+            cap = w * (masks[v].bit_count() + 1)
+            by_cap[cap] = by_cap.get(cap, 0) | 1 << v
+    return sorted(by_cap.items(), reverse=True)
 
 
 def _branch_node(mask: int, masks: list[int], weights, classes) -> int:
-    """Live node of maximum degree; ties: larger weight, then smaller index.
+    """Live node of the largest key w(v)·(d(v)+1), d(v) its live degree;
+    ties: smaller index.
 
-    ``classes`` holds the nodes by whole-graph degree, highest first (see
-    :func:`_degree_classes`).  A live degree never exceeds a node's
-    whole-graph degree, so once a class's degree is below the best live
-    degree found so far, no node in it or in a later class can win, and
-    the scan stops.  A later class may still hold a node that ties on
-    degree and weight with a smaller index, so the index is compared.
+    ``classes`` holds the positive nodes by the cap w(v)·(D(v)+1), D(v)
+    the whole-graph degree, highest first (see :func:`_branch_classes`).
+    Every live node weighs more than 0, so it sits in a class, and its live
+    degree never exceeds D(v), so its key never exceeds its cap.  Once a
+    class's cap is below the best key found so far, no node in it or in a
+    later class can win, and the scan stops.  A class whose cap equals the best key may still hold a node
+    that ties with a smaller index, so that class is scanned.
     """
-    best_v = best_deg = best_w = -1
+    best_v = best_key = -1
     for cap, members in classes:
-        if cap < best_deg:
+        if cap < best_key:
             break
         m = mask & members
         while m:
             low = m & -m
             v = low.bit_length() - 1
             m ^= low
-            deg = (masks[v] & mask).bit_count()
-            if deg < best_deg:
-                continue
-            wv = weights[v]
-            if deg > best_deg or wv > best_w or (wv == best_w and v < best_v):
-                best_v, best_deg, best_w = v, deg, wv
+            key = weights[v] * ((masks[v] & mask).bit_count() + 1)
+            if key > best_key or (key == best_key and v < best_v):
+                best_v, best_key = v, key
     return best_v
 
 

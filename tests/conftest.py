@@ -285,18 +285,13 @@ def reference_greedy_order(masks: list[int], weights, mask: int) -> list[int]:
 
 
 def reference_branch_node(mask: int, masks: list[int], weights) -> int:
-    """The plain branch pick: scan every live node for the maximum live
-    degree; ties: larger weight, then smaller index."""
-    best_v = best_deg = best_w = -1
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        deg = (masks[v] & mask).bit_count()
-        wv = weights[v]
-        if deg > best_deg or (deg == best_deg and wv > best_w):
-            best_v, best_deg, best_w = v, deg, wv
+    """The plain branch pick: scan every live node, ascending, for the
+    largest key w(v)·(live degree + 1); ties: smaller index."""
+    best_v = best_key = -1
+    for v in _bits(mask):
+        key = weights[v] * ((masks[v] & mask).bit_count() + 1)
+        if key > best_key:
+            best_v, best_key = v, key
     return best_v
 
 

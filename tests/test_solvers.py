@@ -31,9 +31,9 @@ from bipartize.generate import gnp
 from bipartize.graph import MAX_WEIGHT
 from bipartize.solvers import (
     _bits,
+    _branch_classes,
     _branch_node,
     _clique_cover_bound,
-    _degree_classes,
     _first_swap,
     _greedy_order,
     _positive_mask,
@@ -581,24 +581,28 @@ class TestCliqueCoverBound:
 
 
 class TestBranchNode:
-    # weights from {1, 2}, so that ties on degree and weight are common
-    @given(graphs_with_live_masks(14, st.integers(1, 2), st.sampled_from(KINDS)))
+    # weights from {1, 2, 3, 4}, so that key ties across classes are common
+    @given(graphs_with_live_masks(14, st.integers(1, 4), st.sampled_from(KINDS)))
     @settings(deadline=None, max_examples=300)
     def test_matches_reference(self, case):
         g, live = case
         masks, weights = g.neighbor_masks(), g.weights
-        classes = _degree_classes(g.adjacency, [w > 0 for w in weights])
+        classes = _branch_classes(masks, weights)
         expected = reference_branch_node(live, masks, weights)
         assert _branch_node(live, masks, weights, classes) == expected
 
     def test_tie_in_a_later_class_takes_the_smaller_index(self):
-        # node 2 has whole-graph degree 2 and is scanned first; with node 4
-        # gone, nodes 0 and 2 both have live degree 1 and weight 1, and the
-        # smaller index wins although its class comes later
-        g = from_edge_list(5, [(0, 1), (2, 3), (2, 4)], [1] * 5)
-        classes = _degree_classes(g.adjacency, [True] * 5)
-        assert classes[0] == (2, 0b00100)
-        assert _branch_node(0b01111, g.neighbor_masks(), g.weights, classes) == 0
+        # node 2 (weight 1, whole-graph degree 4) has the top cap 5 and is
+        # scanned first; with node 6 gone its key is 1 * (3 + 1) = 4.  Node
+        # 0 (weight 2, degree 1) sits in the next class, of cap 4, and its
+        # key 2 * (1 + 1) = 4 ties: the class whose cap equals the best key
+        # is still scanned, and the smaller index wins
+        edges = [(0, 1), (2, 3), (2, 4), (2, 5), (2, 6)]
+        g = from_edge_list(7, edges, [2, 1, 1, 1, 1, 1, 1])
+        masks = g.neighbor_masks()
+        classes = _branch_classes(masks, g.weights)
+        assert classes[:2] == [(5, 0b0000100), (4, 0b0000001)]
+        assert _branch_node(0b0111111, masks, g.weights, classes) == 0
 
 
 class TestMwisGreedy:
@@ -1056,23 +1060,23 @@ class TestPinnedOutputs:
         "case,weight,search_nodes,domination,doubled",
         [
             pytest.param(
-                (30, 0.2, 21, (1, 100)), 689, 45, 80,
-                (1278, 369, _reductions(667, mirror=8)),
+                (30, 0.2, 21, (1, 100)), 689, 35, 54,
+                (1278, 209, _reductions(419, mirror=5)),
                 id="g30-p0.2-s21",
             ),
             pytest.param(
                 (36, 0.1, 22, (1, 100)), 998, 7, 24,
-                (1548, 61, _reductions(179, mirror=3)),
+                (1548, 73, _reductions(185, mirror=2)),
                 id="g36-p0.1-s22",
             ),
             pytest.param(
-                (28, 0.3, 23, (0, 5)), 25, 17, 17,
-                (48, 43, _reductions(57, zero_weight=8, mirror=3)),
+                (28, 0.3, 23, (0, 5)), 25, 11, 10,
+                (48, 35, _reductions(42, zero_weight=8, mirror=2)),
                 id="g28-p0.3-s23",
             ),
             pytest.param(
-                (40, 0.15, 24, (1, 100)), 779, 71, 143,
-                (1413, 997, _reductions(2147, mirror=8)),
+                (40, 0.15, 24, (1, 100)), 779, 73, 128,
+                (1413, 693, _reductions(1267, mirror=6)),
                 id="g40-p0.15-s24",
             ),
         ],
@@ -1095,11 +1099,11 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize(
         "n,p,weight,search_nodes",
         [
-            pytest.param(60, 0.1, 2254, 5951, id="g60-p0.1"),
-            pytest.param(40, 0.3, 1166, 1549, id="g40-p0.3"),
-            pytest.param(50, 0.5, 949, 1999, id="g50-p0.5"),
-            pytest.param(70, 0.08, 2883, 19679, id="g70-p0.08"),
-            pytest.param(80, 0.06, 3510, 12079, id="g80-p0.06"),
+            pytest.param(60, 0.1, 2254, 3123, id="g60-p0.1"),
+            pytest.param(40, 0.3, 1166, 675, id="g40-p0.3"),
+            pytest.param(50, 0.5, 949, 1063, id="g50-p0.5"),
+            pytest.param(70, 0.08, 2883, 14973, id="g70-p0.08"),
+            pytest.param(80, 0.06, 3510, 5035, id="g80-p0.06"),
         ],
     )
     def test_exact_past_the_oracle_caps(self, n, p, weight, search_nodes):
@@ -1117,7 +1121,7 @@ class TestPinnedOutputs:
         "case,digest,doubled_digest",
         [
             pytest.param(
-                (30, 0.2, 21, (1, 100)), "572c1cee36f6ce35", "581e1f4fcb03e642",
+                (30, 0.2, 21, (1, 100)), "572c1cee36f6ce35", "a4b2d63fa66b68e7",
                 id="g30-p0.2-s21",
             ),
             pytest.param(
@@ -1125,7 +1129,7 @@ class TestPinnedOutputs:
                 id="g36-p0.1-s22",
             ),
             pytest.param(
-                (28, 0.3, 23, (0, 5)), "d47fe5a088cabea1", "250b0e9b9af21d3f",
+                (28, 0.3, 23, (0, 5)), "d47fe5a088cabea1", "bdfe12ed624f4874",
                 id="g28-p0.3-s23",
             ),
             pytest.param(
@@ -1155,7 +1159,7 @@ class TestPinnedOutputs:
         result = mwis_exact(g, SolverLimits(node_budget=20))
         assert not result.optimal
         assert (result.weight, result.stats.search_nodes) == (17196, 20)
-        assert result.stats.reductions == _reductions(54)
+        assert result.stats.reductions == _reductions(47)
         assert _digest(result.solution) == "546eb28a96cdd949"
 
 
