@@ -5,9 +5,9 @@ graph of an instance), ``solve`` (run an engine and print the solution),
 ``verify`` (check a solution file against its instance), and ``bench``
 (run both pipelines over a corpus and emit CSV).
 
-Exit codes: 0 success, 1 infeasible input or failed verification, 2 usage
-or input-format error, 3 search budget exhausted (a best-effort solution
-is still emitted, flagged non-optimal).
+Exit codes: 0 success, 1 failed verification, 2 usage or input-format
+error, 3 search budget exhausted (a best-effort solution is still emitted,
+flagged non-optimal).
 """
 
 from __future__ import annotations

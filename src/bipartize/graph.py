@@ -42,17 +42,13 @@ class WeightedGraph:
 
     def neighbor_masks(self) -> list[int]:
         """Per-node neighborhoods as int bitmasks (bit v set iff v adjacent)."""
-        return _build_masks(self.node_count, self.adjacency)
-
-
-def _build_masks(n: int, adjacency: tuple[tuple[int, ...], ...]) -> list[int]:
-    masks = [0] * n
-    for v in range(n):
-        m = 0
-        for u in adjacency[v]:
-            m |= 1 << u
-        masks[v] = m
-    return masks
+        masks = []
+        for nbrs in self.adjacency:
+            m = 0
+            for u in nbrs:
+                m |= 1 << u
+            masks.append(m)
+        return masks
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,9 @@ from typing import Mapping
 from .graph import (
     Bipartition,
     WeightedGraph,
-    _node_ids,
+    _checked_members,
+    _independent,
     induced_subgraph,
-    is_independent_set,
     two_coloring,
 )
 from .reduction import BipartiteSolution
@@ -92,14 +92,6 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _positive_mask(weights) -> int:
-    mask = 0
-    for v, w in enumerate(weights):
-        if w > 0:
-            mask |= 1 << v
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # Branch and reduce
 
@@ -107,9 +99,13 @@ def _positive_mask(weights) -> int:
 def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveResult:
     """Exact maximum-weight independent set by branch and reduce.
 
-    Before every branch, two safe rules run to fixpoint: nodes whose weight
-    dominates their remaining neighborhood's total are taken, lowest first,
-    and zero-weight nodes are dropped.  Domination is incremental: a node's
+    The live nodes are the positive-weight ones.  Zero-weight nodes cannot
+    raise the weight, so they are dropped once, before the search, and
+    counted in ``stats.reductions["zero_weight"]``; the root's live mask is
+    the union of the classes of :func:`_branch_classes`, the one place
+    that tells them apart.  Before every branch, a safe rule runs to
+    fixpoint: nodes whose weight dominates their remaining neighborhood's
+    total are taken, lowest first.  Domination is incremental: a node's
     status can only change when one of its neighbors is removed, so each
     search node re-examines only the neighbors of what was removed since
     the last fixpoint.  Branching picks the node of the largest integer
@@ -118,9 +114,9 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     w/(d+1) first, and the search branches first where that ratio is
     inverted, on heavy nodes with many live neighbors.  Pruning uses a
     greedy clique-cover bound.  The incumbent comes from the greedy, which
-    also stops at the time budget.  With a node or time budget the search
-    may stop early; the result is then the best solution found, flagged
-    ``optimal=False``.
+    reads the same positive nodes off the weights and also stops at the
+    time budget.  With a node or time budget the search may stop early;
+    the result is then the best solution found, flagged ``optimal=False``.
 
     Engine order.  The search runs on the nodes relabeled once per solve,
     and "lowest", "below" and "first" here and in the helpers it calls
@@ -191,20 +187,19 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     least 0), so it prunes exactly where the full cover would.
     The branch scan visits the live nodes by the cap w(v)·(D(v)+1), D(v)
     the whole-graph degree, highest first, and stops at the first cap below
-    the best key found.  Every live node weighs more than 0, so it sits in
-    a class, and its live degree never exceeds D(v), so its key never
-    exceeds its cap: no node the scan skips could win, and it picks the
-    node a scan of every live node would.
+    the best key found.  The live nodes are the union of the classes, so
+    each sits in one, and its live degree never exceeds D(v), so its key
+    never exceeds its cap: no node the scan skips could win, and it picks
+    the node a scan of every live node would.
     """
     limits = limits or SolverLimits()
     start = time.perf_counter()
     budget = limits.node_budget
     deadline = None if limits.time_budget_s is None else start + limits.time_budget_s
     adjacency = g.adjacency
-    positive = [w > 0 for w in g.weights]
     # greedy incumbent: cheap, deterministic, prunes most of the tree; cut
     # short at the deadline, when the search's first budget check stops too
-    greedy = _greedy_order(adjacency, g.weights, positive, deadline)
+    greedy = _greedy_order(adjacency, g.weights, deadline)
     # the search runs in engine order: engine node i is the caller's order[i]
     order = _engine_order(g.weights)
     pos = [0] * len(order)
@@ -221,10 +216,13 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     lower = (1 << h) - 1
     # scratch for the cover's twin pairing, reused by every call
     pairing = (h, [0] * h, [0] * h)
-    alive = _positive_mask(weights)
+    # the live nodes are the positive ones, each in one branch class
     classes = _branch_classes(masks, weights)
-    zero = g.node_count - alive.bit_count()
-    reductions = {"domination": 0, "zero_weight": zero, "mirror": 0}
+    alive = 0
+    for _, members in classes:
+        alive |= members
+    zero_weight = g.node_count - alive.bit_count()
+    domination = mirror = 0
     best_weight = best_mask = 0
     for v in greedy:
         best_mask |= 1 << pos[v]
@@ -233,7 +231,7 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
     stack = [(alive, alive, 0, 0, False)]
     while stack:
         mask, dirty, current, chosen, mirrored = stack.pop()
-        reductions["mirror"] += mirrored
+        mirror += mirrored
         if (budget is not None and search_nodes >= budget) or (
             deadline is not None and time.perf_counter() > deadline
         ):
@@ -260,7 +258,7 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
                 dirty = (dirty | _neighborhood(removed, masks)) & mask
                 chosen |= low
                 current += wv
-                reductions["domination"] += 1
+                domination += 1
         if not mask:
             if current > best_weight:
                 best_weight, best_mask = current, chosen
@@ -281,6 +279,7 @@ def mwis_exact(g: WeightedGraph, limits: SolverLimits | None = None) -> SolveRes
         dirty = _neighborhood(removed, masks)
         take = (mask ^ removed, dirty, current + weights[v], chosen | 1 << v, False)
         stack.append(take)
+    reductions = {"domination": domination, "zero_weight": zero_weight, "mirror": mirror}
     stats = SearchStats(search_nodes, reductions, time.perf_counter() - start)
     solution = frozenset(order[i] for i in _bits(best_mask))
     return SolveResult(solution, best_weight, optimal, stats)
@@ -329,9 +328,9 @@ def _neighborhood(nodes: int, masks: list[int]) -> int:
 
 
 def _branch_classes(masks: list[int], weights) -> list[tuple[int, int]]:
-    """The positive-weight nodes grouped by their key's cap w(v)·(D(v)+1),
-    D(v) the whole-graph degree: one (cap, mask) pair per distinct cap,
-    highest cap first."""
+    """The positive-weight nodes, the exact engine's live nodes, grouped by
+    their key's cap w(v)·(D(v)+1), D(v) the whole-graph degree: one (cap,
+    mask) pair per distinct cap, highest cap first."""
     by_cap: dict[int, int] = {}
     for v, w in enumerate(weights):
         if w > 0:
@@ -346,7 +345,7 @@ def _branch_node(mask: int, masks: list[int], weights, classes) -> int:
 
     ``classes`` holds the positive nodes by the cap w(v)·(D(v)+1), D(v)
     the whole-graph degree, highest first (see :func:`_branch_classes`).
-    Every live node weighs more than 0, so it sits in a class, and its live
+    The live nodes lie in the union of the classes, and a live node's live
     degree never exceeds D(v), so its key never exceeds its cap.  Once a
     class's cap is below the best key found so far, no node in it or in a
     later class can win, and the scan stops.  A class whose cap equals the best key may still hold a node
@@ -464,13 +463,12 @@ def _clique_cover_bound(
 # Greedy and local search
 
 
-def _greedy_order(
-    adjacency, weights, live, deadline: float | None = None
-) -> list[int]:
-    """Greedy pick order among the nodes whose ``live`` flag is set:
-    repeatedly the node with the largest weight/(degree+1), degrees taken
-    in the shrinking graph, smallest index on ties.  ``live`` holds one
-    flag per node and is left unchanged.
+def _greedy_order(adjacency, weights, deadline: float | None = None) -> list[int]:
+    """Greedy pick order among the positive-weight nodes: repeatedly the
+    node with the largest weight/(degree+1), degrees taken in the shrinking
+    graph among the positive nodes, smallest index on ties.  Zero-weight
+    nodes are never live, so they neither get picked nor count as
+    neighbors.
 
     With a ``deadline`` (a ``time.perf_counter`` reading), the clock is
     read every 256 picks, and once it is past the deadline the picks so
@@ -494,7 +492,7 @@ def _greedy_order(
     a node no longer live is skipped, among them the entries pushed for a
     neighbor of the pick that its removal had not reached yet.
     """
-    live = bytearray(live)
+    live = bytearray([w > 0 for w in weights])
     nodes = [v for v, flag in enumerate(live) if flag]
     if not nodes:
         return []
@@ -542,7 +540,8 @@ def mwis_greedy(g: WeightedGraph) -> SolveResult:
 
     The result's weight is at least the sum over all nodes of
     ``w(v)/(degree(v)+1)`` in the input graph (GWMIN; Sakai, Togasaki &
-    Yamazaki, DAM 2003).  Never claims optimality.  The picks come from a
+    Yamazaki, DAM 2003).  Never claims optimality.  Zero-weight nodes are
+    never picked and do not count toward a degree.  The picks come from a
     min-heap under exact integer keys that re-keys only the nodes whose
     degree dropped (see :func:`_greedy_order`), and degrees are kept as
     counts on the adjacency lists, so the whole greedy costs
@@ -551,7 +550,7 @@ def mwis_greedy(g: WeightedGraph) -> SolveResult:
     """
     start = time.perf_counter()
     weights = g.weights
-    order = _greedy_order(g.adjacency, weights, [w > 0 for w in weights])
+    order = _greedy_order(g.adjacency, weights)
     weight = sum(weights[v] for v in order)
     stats = SearchStats(len(order), elapsed_s=time.perf_counter() - start)
     return SolveResult(frozenset(order), weight, False, stats)
@@ -613,11 +612,11 @@ def mwis_local_search(g: WeightedGraph, start: frozenset[int] | set[int]) -> Sol
 
     Zero-weight members of ``start`` are dropped up front (they never
     affect the objective).  Raises ValueError when a member of ``start`` is
-    not an integer or ``start`` is not an independent set.
+    not an integer or out of range, or ``start`` is not an independent set.
     """
     began = time.perf_counter()
-    members = _node_ids(start)
-    if not is_independent_set(g, members):
+    members = _checked_members(g, start)
+    if not _independent(g.adjacency, members):
         raise ValueError("start is not an independent set")
     adjacency, weights = g.adjacency, g.weights
     n = g.node_count

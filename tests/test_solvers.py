@@ -9,11 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import bipartize.graph as graph_module
 import bipartize.solvers as solvers
 from bipartize import (
     LimitExceededError,
     SolverLimits,
+    WeightedGraph,
     build_doubled_graph,
     check_solution,
     from_edge_list,
@@ -36,7 +36,6 @@ from bipartize.solvers import (
     _clique_cover_bound,
     _first_swap,
     _greedy_order,
-    _positive_mask,
 )
 
 from .conftest import (
@@ -663,14 +662,17 @@ def test_reductions_are_read_only(c5):
     assert stats.reductions == {"domination": 1}
 
 
-def _flags(mask, n):
-    """One live flag per node, from a bitmask."""
-    return [mask >> v & 1 for v in range(n)]
+def _positive_mask(weights):
+    """The positive-weight nodes as a bitmask."""
+    return sum(1 << v for v, w in enumerate(weights) if w > 0)
 
 
 def _assert_greedy_matches_reference(g, mask):
-    expected = reference_greedy_order(g.neighbor_masks(), g.weights, mask)
-    assert _greedy_order(g.adjacency, g.weights, _flags(mask, g.node_count)) == expected
+    """The greedy takes its live set from the weights, so the nodes outside
+    ``mask`` get weight 0; the rescan runs on what stays positive."""
+    weights = [w if mask >> v & 1 else 0 for v, w in enumerate(g.weights)]
+    expected = reference_greedy_order(g.neighbor_masks(), weights, _positive_mask(weights))
+    assert _greedy_order(g.adjacency, weights) == expected
 
 
 class TestGreedyOrder:
@@ -686,7 +688,7 @@ class TestGreedyOrder:
             for h in (g, build_doubled_graph(g).graph):
                 positive = _positive_mask(h.weights)
                 _assert_greedy_matches_reference(h, positive)
-                # a partial live mask, as the exact engine may pass
+                # a partial live set, the rest zeroed
                 partial = positive & rng.getrandbits(h.node_count)
                 _assert_greedy_matches_reference(h, partial)
 
@@ -703,15 +705,13 @@ class TestGreedyOrder:
     )
     def test_ties_and_rekeys(self, edges, weights, order):
         g = from_edge_list(len(weights), edges, weights)
-        mask = _positive_mask(g.weights)
-        live = _flags(mask, g.node_count)
-        assert _greedy_order(g.adjacency, g.weights, live) == order
-        _assert_greedy_matches_reference(g, mask)
+        assert _greedy_order(g.adjacency, g.weights) == order
+        _assert_greedy_matches_reference(g, _positive_mask(g.weights))
 
     def test_empty(self):
-        assert _greedy_order((), (), []) == []
-        g = from_edge_list(3, [(0, 1)], [2, 3, 4])
-        assert _greedy_order(g.adjacency, g.weights, [0, 0, 0]) == []
+        assert _greedy_order((), ()) == []
+        g = from_edge_list(3, [(0, 1)], [0, 0, 0])
+        assert _greedy_order(g.adjacency, g.weights) == []
 
     def test_large_doubled_graph(self):
         g = build_doubled_graph(gnp(1000, 0.005, seed=2)).graph
@@ -723,16 +723,16 @@ class TestGreedyOrderHighDegree:
 
     @pytest.mark.parametrize("d", [300, 3000])
     def test_high_degree_ratio_gap(self, d):
-        # hub 0 has degree d and hub 1 degree d - 1, both of weight 1, on
-        # disjoint zero-weight leaves that stay in the mask: the ratios
-        # 1/(d+1) < 1/d differ by only 1/(d(d+1)), so hub 1 must come first
+        # hub 0 of weight d + 2 and degree d and hub 1 of weight d + 1 and
+        # degree d - 1, on disjoint leaves of weight 1: the ratios
+        # (d+2)/(d+1) < (d+1)/d differ by only 1/(d(d+1)), so hub 1 must
+        # come first, and both beat the leaves' 1/2
         edges = [(0, 2 + i) for i in range(d)]
         edges += [(1, 2 + d + i) for i in range(d - 1)]
         n = 2 * d + 1
-        g = from_edge_list(n, edges, [1, 1] + [0] * (n - 2))
-        mask = (1 << n) - 1
-        assert _greedy_order(g.adjacency, g.weights, _flags(mask, n)) == [1, 0]
-        _assert_greedy_matches_reference(g, mask)
+        g = from_edge_list(n, edges, [d + 2, d + 1] + [1] * (n - 2))
+        assert _greedy_order(g.adjacency, g.weights) == [1, 0]
+        _assert_greedy_matches_reference(g, (1 << n) - 1)
 
     @pytest.mark.parametrize(
         "shape,leaves,hub,leaf_weights",
@@ -770,7 +770,7 @@ class _JumpClock:
 class TestGreedyDeadline:
     def test_exact_engine_greedy_stops_at_deadline(self, monkeypatch):
         g = build_doubled_graph(gnp(400, 0.01, seed=25, weights=(1, 100))).graph
-        full = _greedy_order(g.adjacency, g.weights, [w > 0 for w in g.weights])
+        full = _greedy_order(g.adjacency, g.weights)
         assert len(full) > 256
         # the engine reads the clock at its start and sets the deadline 1 s
         # later; the greedy's first reading, after 256 picks, is 10 s
@@ -783,11 +783,10 @@ class TestGreedyDeadline:
 
     def test_deadline_not_reached_keeps_the_order(self, monkeypatch):
         g = build_doubled_graph(gnp(400, 0.01, seed=25, weights=(1, 100))).graph
-        live = [w > 0 for w in g.weights]
-        full = _greedy_order(g.adjacency, g.weights, live)
+        full = _greedy_order(g.adjacency, g.weights)
         clock = _JumpClock()
         monkeypatch.setattr(solvers, "time", clock)
-        assert _greedy_order(g.adjacency, g.weights, live, deadline=20.0) == full
+        assert _greedy_order(g.adjacency, g.weights, deadline=20.0) == full
         assert clock.reads == len(full) // 256
 
 
@@ -832,6 +831,10 @@ class TestMwisLocalSearch:
         # int() would read 0.5 as node 0, an independent start
         with pytest.raises(ValueError, match=r"^node 0\.5 is not an integer$"):
             mwis_local_search(c5, {0.5})
+
+    def test_rejects_out_of_range_start(self, c5):
+        with pytest.raises(ValueError, match=r"^node 99 out of range for 5 nodes$"):
+            mwis_local_search(c5, {99})
 
     def test_rejects_dependent_start(self, k3):
         with pytest.raises(ValueError, match="not an independent set"):
@@ -947,9 +950,8 @@ class TestHeuristicsMatchReferences:
     @settings(deadline=None, max_examples=200)
     def test_pick_order_moves_and_final_set(self, case):
         g, live, start = case
-        positive = _positive_mask(g.weights)
-        # the engine passes a positive live set; any live set keeps the order
-        for mask in (positive, live & positive, live):
+        # the whole graph, and a live set made by zeroing the rest
+        for mask in (_positive_mask(g.weights), live):
             _assert_greedy_matches_reference(g, mask)
         for begin in (mwis_greedy(g).solution, frozenset(), start):
             result = mwis_local_search(g, begin)
@@ -965,7 +967,7 @@ class TestHeuristicsBuildNoMasks:
         def refuse(*args):
             raise AssertionError("neighbor masks built on the heuristic path")
 
-        monkeypatch.setattr(graph_module, "_build_masks", refuse)
+        monkeypatch.setattr(WeightedGraph, "neighbor_masks", refuse)
         g = gnp(300, 0.01, seed=3, weights=(1, 100))
         h = build_doubled_graph(g).graph
         greedy = mwis_greedy(h)
